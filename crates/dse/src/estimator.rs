@@ -238,39 +238,6 @@ impl AreaEstimator {
         self.step1_est.wave_begin(set, None, cache)
     }
 
-    /// The first Gauss–Newton gain system `(G, rhs)` of a Step-2 solve,
-    /// evaluated at the Step-1 + pseudo warm start — the extended-model
-    /// analogue of [`AreaEstimator::step1_gain_system`], exposed so
-    /// conformance tests and benchmarks can exercise Schur condensation
-    /// on *real* extended gain matrices.
-    pub fn step2_gain_system(
-        &self,
-        step1: &AreaSolution,
-        neighbor_pseudo: &[PseudoMeasurement],
-        local_set: &MeasurementSet,
-        noise_level: f64,
-        seed: u64,
-    ) -> (pgse_sparsela::Csr, Vec<f64>) {
-        let (set, vm0, va0) =
-            self.step2_inputs(step1, neighbor_pseudo, local_set, noise_level, seed);
-        let net = self.step2_est.network();
-        let space = self.step2_est.space();
-        let ybus = Ybus::new(net);
-        let h = evaluate_h(net, &ybus, &set, &vm0, &va0);
-        let jac = assemble_jacobian(net, &ybus, &set, space, &vm0, &va0);
-        let w = set.weights();
-        let wr: Vec<f64> = set
-            .values()
-            .iter()
-            .zip(&h)
-            .zip(&w)
-            .map(|((zi, hi), wi)| (zi - hi) * wi)
-            .collect();
-        let mut rhs = vec![0.0; space.dim()];
-        jac.spmv_transpose(&wr, &mut rhs);
-        (jac.ata_weighted(&w), rhs)
-    }
-
     /// DSE Step 1: local WLS on the area's own measurements.
     ///
     /// # Errors
@@ -344,8 +311,9 @@ impl AreaEstimator {
 
     /// [`AreaEstimator::step2`] with cross-frame structure reuse. The warm
     /// start still comes from Step 1 + pseudo values (fresher than the
-    /// previous frame's extended state); only the symbolic structures are
-    /// carried across frames.
+    /// previous frame's extended state); the symbolic structures and the
+    /// sparse Cholesky factor carry across frames, so each warm iteration
+    /// is one numeric refactor, as in Step 1.
     ///
     /// # Errors
     /// Propagates WLS failures.
@@ -358,49 +326,10 @@ impl AreaEstimator {
         seed: u64,
         cache: &mut SolveCache,
     ) -> Result<AreaSolution, WlsError> {
-        if cache.condense_targets().is_none() {
-            cache.set_condense_targets(self.step2_condense_targets());
-        }
         let (set, vm0, va0) =
             self.step2_inputs(step1, neighbor_pseudo, local_set, noise_level, seed);
         let est = self.step2_est.estimate_cached(&set, Some((&vm0, &va0)), cache)?;
         Ok(self.merge_step2(step1, &est.vm, &est.va, est.iterations, est.objective))
-    }
-
-    /// The extended-model state indices treated as *boundary* when Step-2
-    /// normal equations are Schur-condensed: the states of the exported
-    /// (boundary/sensitive) local buses plus the appended foreign buses.
-    /// Everything else — the interior bulk whose pattern and values barely
-    /// couple to the pseudo exchange — is condensed away. Returns an empty
-    /// vector (condensation disabled) when the split would be degenerate:
-    /// no boundary at all, or an interior too small (fewer than two buses'
-    /// worth of states) for the Schur complement to eliminate anything.
-    pub fn step2_condense_targets(&self) -> Vec<usize> {
-        let space = self.step2_est.space();
-        let n_local = self.step1_est.network().n_buses();
-        let ext_n = self.step2_est.network().n_buses();
-        let mut states = Vec::new();
-        let push_bus = |b: usize, states: &mut Vec<usize>| {
-            states.push(space.mag_pos(b));
-            if let Some(p) = space.angle_pos(b) {
-                states.push(p);
-            }
-        };
-        for l in self.info.exported_buses() {
-            push_bus(l, &mut states);
-        }
-        for b in n_local..ext_n {
-            push_bus(b, &mut states);
-        }
-        states.sort_unstable();
-        states.dedup();
-        // A Schur complement needs something to condense: require a
-        // non-empty boundary and at least two interior buses' states.
-        if states.is_empty() || states.len() + 4 > space.dim() {
-            Vec::new()
-        } else {
-            states
-        }
     }
 
     /// Builds the Step-2 measurement set (local scan + tie-line flows +

@@ -43,9 +43,7 @@ pub mod tuning;
 pub mod update;
 pub mod vecops;
 
-pub use batch::{
-    group_by_pattern, solve_systems, BatchCholesky, BatchPlan, BoundaryCondenser, RoundOutcome,
-};
+pub use batch::{group_by_pattern, solve_systems, BatchCholesky, BatchPlan, RoundOutcome};
 pub use cholesky::EnvelopeCholesky;
 pub use complex::Cplx;
 pub use coo::Coo;

@@ -339,7 +339,9 @@ pub struct StreamReport {
     /// Dispatched gain systems that fell back to the scalar solver (odd
     /// pattern, under-filled group, or a failed batched attempt).
     pub scalar_fallbacks: u64,
-    /// Step-2 gain solves routed through the Schur boundary condenser.
+    /// Always 0: Step 2 solves on the same cached sparse Cholesky as
+    /// Step 1, and no solve is condensed. Kept for existing readers of the
+    /// report.
     pub condensed_solves: u64,
     /// Worker revives that kept their symbolic analyses because the
     /// checkpointed [`pgse_estimation::wls::StructureDescriptor`] matched
@@ -1475,7 +1477,6 @@ impl StreamService {
         report.warm_solves = sup.retired.warm;
         report.refactor_reuse = sup.retired.refac_reuse;
         report.refactor_full = sup.retired.refac_full;
-        report.condensed_solves = sup.retired.condensed;
         report.heartbeats = sup.watchdog.beats();
         let ck = sup.ckpts.stats();
         report.checkpoints_saved = ck.saves;
@@ -1511,7 +1512,6 @@ impl StreamService {
         self.rec.counter_add("stream.batched_lanes", report.batched_lanes);
         self.rec.counter_add("stream.batch_groups", report.batch_groups);
         self.rec.counter_add("stream.scalar_fallbacks", report.scalar_fallbacks);
-        self.rec.counter_add("stream.condensed_solves", report.condensed_solves);
         // Robustness counters. Deliberately *counts only* — the gate/LNR
         // wall-clock nanos stay out of obs so same-seed runs replay to
         // byte-identical deterministic reports.
@@ -1710,7 +1710,6 @@ struct CacheTotals {
     warm: u64,
     refac_reuse: u64,
     refac_full: u64,
-    condensed: u64,
 }
 
 impl CacheTotals {
@@ -1720,7 +1719,6 @@ impl CacheTotals {
         self.warm += c.warm_solves;
         self.refac_reuse += c.refactor_reuse;
         self.refac_full += c.refactor_full;
-        self.condensed += c.condensed_solves;
     }
 }
 
@@ -2282,8 +2280,9 @@ mod tests {
             report.gain_solves,
             "{report:?}"
         );
-        // Step-2 solves route through the Schur boundary condenser.
-        assert!(report.condensed_solves > 0, "{report:?}");
+        // Step 2 solves on the cached sparse Cholesky, like Step 1; no
+        // solve is condensed.
+        assert_eq!(report.condensed_solves, 0, "{report:?}");
 
         // The obs counters tell the same story as the report.
         let obs = service.obs_report();
@@ -2296,7 +2295,6 @@ mod tests {
                 + obs.counter("stream", "stream.scalar_fallbacks"),
             obs.counter("stream", "stream.gain_solves")
         );
-        assert_eq!(obs.total_counter("wls.condensed"), report.condensed_solves);
     }
 
     #[test]
@@ -2366,7 +2364,7 @@ mod tests {
         assert_eq!(report.refactor_reuse, 0);
         assert_eq!(report.refactor_full, 0);
         // Cold solves run inside the estimators: the round-level batch
-        // plan never sees a system, and condensation never engages.
+        // plan never sees a system.
         assert_eq!(report.gain_solves, 0);
         assert_eq!(report.batched_lanes, 0);
         assert_eq!(report.batch_groups, 0);

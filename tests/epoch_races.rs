@@ -5,7 +5,7 @@
 //! observing sequence-regression refusals from a concurrent reader.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pgse::stream::{PublishRejected, SnapshotStore, SystemSnapshot};
 
@@ -101,14 +101,19 @@ fn regression_refusal_is_invisible_to_concurrent_readers() {
     let store = Arc::new(SnapshotStore::new());
     store.publish(snap(10, 8)).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
+    // Start handshake: the writer holds the refusal storm until the reader
+    // has sampled once, so the reader is live no matter how the threads
+    // are scheduled.
+    let started = Arc::new(Barrier::new(2));
 
     let reader = {
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
+        let started = Arc::clone(&started);
         std::thread::spawn(move || {
             let mut last = 0u64;
             let mut observed = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let s = store.load().expect("store stays non-empty");
                 assert!(
                     s.epoch >= last,
@@ -118,11 +123,18 @@ fn regression_refusal_is_invisible_to_concurrent_readers() {
                 );
                 last = s.epoch;
                 observed += 1;
+                if observed == 1 {
+                    started.wait();
+                }
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
             }
             (last, observed)
         })
     };
 
+    started.wait();
     let mut refused = 0usize;
     for round in 0..50u64 {
         let good = 11 + round * 2;

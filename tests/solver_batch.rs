@@ -20,19 +20,20 @@
 //!   set's shape invalidates the cached pattern and numeric factor; the
 //!   `refactor_reuse`/`refactor_full` counters account for every
 //!   Gauss–Newton iteration exactly, in the report and the obs scope.
+//! * **Step 2 on the cached factor.** Cached Step 2 on the extended model
+//!   matches the uncached solve to 1e-12, refreshes one factor per area,
+//!   and is bitwise stable across pools.
 
 use std::sync::{Arc, Mutex};
 
 use pgse::dse::decomposition::{decompose, DecompositionOptions};
-use pgse::dse::AreaEstimator;
+use pgse::dse::{AreaEstimator, AreaSolution};
 use pgse::estimation::measurement::MeasurementSet;
 use pgse::estimation::wls::{SolveCache, WlsEstimator, WlsOptions};
 use pgse::grid::cases::ieee118_like;
 use pgse::powerflow::{solve, PfOptions};
 use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse::sparsela::{
-    solve_systems, BatchCholesky, BatchPlan, BoundaryCondenser, CholSymbolic, Csr, SparseCholesky,
-};
+use pgse::sparsela::{solve_systems, BatchCholesky, BatchPlan, CholSymbolic, Csr, SparseCholesky};
 use pgse::stream::{StreamConfig, StreamService};
 use pgse_bench::timing::{paired_best_until, time_ns};
 
@@ -343,11 +344,40 @@ fn round_batch_plan_is_bitwise_identical_to_scalar_across_pools() {
     }
 }
 
+/// Runs three frames of Step 1 → pseudo exchange → cached Step 2 on every
+/// area with one `SolveCache` per area, returning each frame's Step-2
+/// solutions, the matching uncached Step-2 solutions, and the caches.
+fn step2_frames(
+    estimators: &[AreaEstimator],
+) -> (Vec<Vec<AreaSolution>>, Vec<Vec<AreaSolution>>, Vec<SolveCache>) {
+    let mut caches: Vec<SolveCache> = estimators.iter().map(|_| SolveCache::new()).collect();
+    let (mut cached, mut plain) = (Vec::new(), Vec::new());
+    for f in 0..3u64 {
+        let sets: Vec<MeasurementSet> =
+            estimators.iter().map(|e| e.generate_telemetry(1.0, 400 + f)).collect();
+        let s1: Vec<_> =
+            estimators.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
+        let pseudo: Vec<_> =
+            estimators.iter().zip(&s1).map(|(e, s)| e.export_pseudo(s)).collect();
+        let (mut fc, mut fp) = (Vec::new(), Vec::new());
+        for (a, est) in estimators.iter().enumerate() {
+            let inbox: Vec<_> =
+                est.info.neighbors.iter().flat_map(|&nb| pseudo[nb].iter().copied()).collect();
+            let seed = 900 + 10 * f + a as u64;
+            fc.push(est.step2_cached(&s1[a], &inbox, &sets[a], 1.0, seed, &mut caches[a]).unwrap());
+            fp.push(est.step2(&s1[a], &inbox, &sets[a], 1.0, seed).unwrap());
+        }
+        cached.push(fc);
+        plain.push(fp);
+    }
+    (cached, plain, caches)
+}
+
 #[test]
-fn condensed_step2_solve_matches_uncondensed_across_pools() {
+fn cached_step2_matches_uncached_and_refreshes_one_factor_per_area() {
     let _serial = serial();
-    // Real Step-2 extended gain systems: Step 1 everywhere, pseudo
-    // exchange, then the extended-model normal equations per area.
+    // Step 2 solves the extended gain through the same cached-symbolic
+    // `SparseCholesky::refactor` as Step 1.
     let net = ieee118_like();
     let pf = solve(&net, &PfOptions::default()).unwrap();
     let d = decompose(&net, &DecompositionOptions::default());
@@ -356,53 +386,44 @@ fn condensed_step2_solve_matches_uncondensed_across_pools() {
         .iter()
         .map(|a| AreaEstimator::new(a.clone(), &net, &pf, WlsOptions::direct()))
         .collect();
-    let sets: Vec<MeasurementSet> =
-        estimators.iter().map(|e| e.generate_telemetry(1.0, 400)).collect();
-    let s1: Vec<_> =
-        estimators.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
-    let pseudo: Vec<_> =
-        estimators.iter().zip(&s1).map(|(e, s)| e.export_pseudo(s)).collect();
+    let (cached, plain, caches) = step2_frames(&estimators);
 
-    let mut exercised = 0usize;
-    for (a, est) in estimators.iter().enumerate() {
-        let targets = est.step2_condense_targets();
-        if targets.is_empty() {
-            continue; // degenerate split: condensation stays off
+    // Cached and uncached Step 2 agree to 1e-12 with equal iteration
+    // counts. Not bitwise: the cached gain (`AtaSymbolic::compute_into`)
+    // and the uncached one (`Csr::ata_weighted`) sum in different orders.
+    for (f, (fc, fp)) in cached.iter().zip(&plain).enumerate() {
+        for (a, (c, p)) in fc.iter().zip(fp).enumerate() {
+            assert_eq!(c.iterations, p.iterations, "frame {f} area {a}");
+            for (x, y) in c.vm.iter().chain(&c.va).zip(p.vm.iter().chain(&p.va)) {
+                assert!((x - y).abs() <= 1e-12, "frame {f} area {a}: {x} vs {y}");
+            }
         }
-        let mut inbox = Vec::new();
-        for &nb in &est.info.neighbors {
-            inbox.extend(pseudo[nb].iter().copied());
-        }
-        let (g, rhs) = est.step2_gain_system(&s1[a], &inbox, &sets[a], 1.0, 900 + a as u64);
-        let direct = SparseCholesky::factor(&g).unwrap().solve(&rhs);
-        let scale = direct.iter().fold(1.0f64, |m, x| m.max(x.abs()));
+    }
 
-        // The condensed solution agrees with the uncondensed one to
-        // 1e-10 (relative to the solution scale) on every state…
-        let cond = BoundaryCondenser::new(&g, &targets).unwrap();
-        assert_eq!(cond.n_boundary(), targets.len());
-        let x0 = cond.solve(&rhs);
-        for (i, (c, u)) in x0.iter().zip(&direct).enumerate() {
-            assert!(
-                (c - u).abs() <= 1e-10 * scale,
-                "area {a} state {i}: condensed {c} vs direct {u}"
-            );
-        }
-        // …and is bitwise stable across 1|2|8-thread pools: the Schur
-        // pipeline is sequential per system, so the thread pool must not
-        // perturb a single bit.
-        for pool in pools() {
-            let xs = pool.install(|| BoundaryCondenser::new(&g, &targets).unwrap().solve(&rhs));
-            for (x, y) in xs.iter().zip(&x0) {
+    // One symbolic analysis and one full factorization per area; every
+    // later Gauss–Newton iteration refreshes the cached factor.
+    for (a, cache) in caches.iter().enumerate() {
+        let iters: usize = cached.iter().map(|fc| fc[a].iterations).sum();
+        assert_eq!(cache.symbolic_builds, 1, "area {a}");
+        assert_eq!(cache.refactor_full, 1, "area {a}");
+        assert_eq!(cache.refactor_reuse, iters as u64 - 1, "area {a}");
+    }
+
+    // The cached path is bitwise stable across 1|2|8-thread pools.
+    for pool in pools() {
+        let (again, _, _) = pool.install(|| step2_frames(&estimators));
+        for (f, (fa, fc)) in again.iter().zip(&cached).enumerate() {
+            for (a, (x, y)) in fa.iter().zip(fc).enumerate() {
+                let bits = |s: &AreaSolution| -> Vec<u64> {
+                    s.vm.iter().chain(&s.va).map(|v| v.to_bits()).collect()
+                };
                 assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "area {a} condensed solve diverged on a {}-thread pool",
+                    bits(x),
+                    bits(y),
+                    "frame {f} area {a} diverged on a {}-thread pool",
                     pool.current_num_threads()
                 );
             }
         }
-        exercised += 1;
     }
-    assert!(exercised >= 3, "only {exercised} areas exercised condensation");
 }

@@ -9,14 +9,17 @@
 //!   steady topology: fewer Gauss–Newton iterations *and* less solve
 //!   time;
 //! * under middleware chaos (drops, truncation, delay, duplication via
-//!   `medici::faults`) the accounting identity still closes exactly.
+//!   `medici::faults`) the accounting identity still closes exactly;
+//! * every published epoch of a healthy run is **accurate**: within a
+//!   stated RMSE band of the power-flow truth.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use std::time::Duration;
 
 use pgse::grid::cases::ieee118_like;
 use pgse::medici::FaultPlan;
+use pgse::powerflow::{solve, PfOptions};
 use pgse::stream::{StreamConfig, StreamService};
 
 /// Each test runs a full multi-threaded service; running them in parallel
@@ -208,4 +211,67 @@ fn chaos_run_still_accounts_every_frame_and_epochs_stay_monotone() {
     let obs = service.obs_report();
     assert_eq!(obs.counter("stream", "stream.ingested"), report.ingested);
     assert_eq!(obs.counter("stream", "stream.corrupt"), report.corrupt);
+}
+
+/// Per-epoch RMSE ceilings against the power-flow truth, the same as the
+/// benchmark's. Measured maxima on IEEE-118 are about 1.7e-3 pu and
+/// 1.1e-2 rad.
+const VM_RMSE_MAX: f64 = 5e-3;
+const VA_RMSE_MAX: f64 = 2.5e-2;
+
+fn rmse(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    (a.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>() / a.len() as f64).sqrt()
+}
+
+#[test]
+fn every_published_epoch_is_within_the_accuracy_band_of_the_truth() {
+    let _serial = serial();
+    let net = ieee118_like();
+    let truth = solve(&net, &PfOptions::default()).unwrap();
+    let cfg = StreamConfig { n_frames: 20, seed: 5, ..StreamConfig::default() };
+    let service = StreamService::deploy(&net, cfg).unwrap();
+    let within = |vm: &[f64], va: &[f64]| {
+        let (e_vm, e_va) = (rmse(vm, &truth.vm), rmse(va, &truth.va));
+        (e_vm <= VM_RMSE_MAX && e_va <= VA_RMSE_MAX, e_vm, e_va)
+    };
+
+    // Start handshake: the service runs only once the reader is live, so
+    // the reader sees the stream no matter how the threads are scheduled.
+    let started = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let (report, sampled) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            started.wait();
+            let mut sampled = 0u64;
+            let mut last = None;
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                if let Some(snap) = service.store().load() {
+                    if last != Some(snap.epoch) {
+                        last = Some(snap.epoch);
+                        let (ok, e_vm, e_va) = within(&snap.vm, &snap.va);
+                        assert!(ok, "epoch {}: vm rmse {e_vm:.3e}, va rmse {e_va:.3e}", snap.epoch);
+                        sampled += 1;
+                    }
+                }
+                if finished {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            sampled
+        });
+        started.wait();
+        let report = service.run();
+        done.store(true, Ordering::Release);
+        (report, reader.join().unwrap())
+    });
+
+    assert_eq!(report.frames_published, 20, "{report:?}");
+    assert!(sampled > 0, "reader never sampled an epoch");
+    let snap = service.store().load().unwrap();
+    assert_eq!(snap.frame_seq, 19);
+    let (ok, e_vm, e_va) = within(&snap.vm, &snap.va);
+    assert!(ok, "final epoch: vm rmse {e_vm:.3e}, va rmse {e_va:.3e}");
 }
