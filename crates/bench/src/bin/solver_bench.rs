@@ -1,6 +1,6 @@
 //! Gain-solve benchmark → `target/obs/BENCH_solver.json`.
 //!
-//! Two sections, one JSON report:
+//! Three sections, one JSON report:
 //!
 //! 1. **Sequential vs parallel PCG.** Builds the real IEEE-118 WLS gain
 //!    matrix `G = HᵀWH`, replicates it block-diagonally with weak
@@ -14,25 +14,20 @@
 //!    fail spuriously or (as the old `threads >= 4` gate did) silently
 //!    skip, reporting success without measuring anything.
 //!
-//! 2. **Warm-frame batched direct solve.** Models the streaming warm
-//!    path: several areas' gain systems share a sparsity pattern across
-//!    frames, only values change. The pre-batch cost per warm frame was
-//!    one IC(0) build + PCG per lane; the batched path refreshes one
-//!    lane-interleaved numeric factorization and solves all lanes
-//!    together. This speedup is pure amortization — no extra cores
-//!    involved — so its ≥1.5× floor is asserted on ANY core count.
+//! 2. **Warm-frame cached refactor vs IC(0)+PCG.** Models the streaming
+//!    warm path: several gain systems keep their sparsity pattern across
+//!    frames, only values change. The iterative cost per warm frame is
+//!    one IC(0) build + PCG per system; the direct path refreshes each
+//!    system's cached factor (`SparseCholesky::refactor` over the kept
+//!    symbolic analysis) and solves. This speedup is pure amortization —
+//!    no extra cores involved — so its ≥1.5× floor is asserted on ANY
+//!    core count.
 //!
-//! 3. **SIMD-widened scatter.** Times the batched numeric
-//!    refactorization with the `LANE_WIDTH`-chunked gather/scatter
-//!    kernels on vs off (`tuning::set_scatter_lanes_min`). The widened
-//!    path must never *regress* (≥0.9× floor, conservatively below the
-//!    noise band); its upside is recorded.
-//!
-//! 4. **Streaming round.** One cross-area `BatchPlan::solve_round` over
-//!    every in-flight gain system vs each system factoring alone — the
-//!    service's round-level dispatch vs the per-area fan-out it
-//!    replaced. Shared symbolic analysis plus lane amortization must buy
-//!    ≥1.3× per round, on any core count.
+//! 3. **Streaming round.** The real 9-area IEEE-118 per-area Step-1 gain
+//!    systems over several frames, each area refreshing its own cached
+//!    factor vs factoring every system from scratch
+//!    (`SparseCholesky::factor`, minimum-degree analysis included). The
+//!    kept symbolic analysis must buy ≥1.3× per round, on any core count.
 //!
 //! ```text
 //! cargo run --release -p pgse-bench --bin solver_bench
@@ -41,13 +36,16 @@
 use std::time::{Duration, Instant};
 
 use pgse_bench::timing::{paired_best, paired_best_until, time_ns};
+use pgse_dse::decomposition::{decompose, DecompositionOptions};
+use pgse_dse::AreaEstimator;
 use pgse_estimation::jacobian::{assemble_jacobian, StateSpace};
 use pgse_estimation::synthetic::TelemetryPlan;
+use pgse_estimation::wls::WlsOptions;
 use pgse_grid::cases::ieee118_like;
 use pgse_grid::Ybus;
 use pgse_powerflow::{solve, PfOptions};
 use pgse_sparsela::pcg::{pcg, CgOptions, CgOutcome, Preconditioner};
-use pgse_sparsela::{tuning, BatchCholesky, BatchPlan, Coo, Csr, SparseCholesky};
+use pgse_sparsela::{Coo, Csr, SparseCholesky};
 
 /// Block copies of the IEEE-118 gain matrix in the large case. Sized so
 /// the per-iteration SpMV (the parallel workhorse) dominates the small
@@ -58,7 +56,7 @@ const COUPLE: f64 = 1e-3;
 /// Timed repetitions per configuration (the minimum is reported).
 const REPS: usize = 5;
 /// Identical-pattern gain systems per warm frame (areas in flight).
-const LANES: usize = 8;
+const SYSTEMS: usize = 8;
 /// Distinct warm frames cycled through the timed rounds.
 const FRAMES: usize = 4;
 /// Measurement rounds for the warm-frame comparison.
@@ -126,7 +124,7 @@ fn time_solve(a: &Csr, b: &[f64], m: &Preconditioner, opts: &CgOptions) -> (Dura
 /// pattern: the diagonal congruence `D·A·D` with per-state scale factors
 /// `d_i > 0` keyed on `(seed, i)` — exactly what per-frame measurement
 /// re-weighting does to a gain matrix.
-fn lane_frame(base: &Csr, seed: u64) -> Csr {
+fn value_variant(base: &Csr, seed: u64) -> Csr {
     let n = base.nrows();
     let d: Vec<f64> = (0..n)
         .map(|i| 1.0 + 1e-3 * ((seed.wrapping_mul(31) + i as u64) % 23) as f64)
@@ -143,28 +141,48 @@ fn lane_frame(base: &Csr, seed: u64) -> Csr {
     m
 }
 
-/// Pre-batch warm-frame cost: each lane independently builds its IC(0)
-/// preconditioner and runs PCG — what the streaming service paid per
-/// warm frame before batched refactorization.
-fn prebatch_frame(lanes: &[Csr], rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+/// Iterative warm-frame cost: each system independently builds its IC(0)
+/// preconditioner and runs PCG.
+fn pcg_frame(systems: &[Csr], rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let opts = CgOptions { rel_tol: 1e-8, max_iter: 10_000, parallel: false };
-    lanes
+    systems
         .iter()
         .zip(rhs)
         .map(|(a, b)| {
-            let m = Preconditioner::ic0(a).expect("SPD lane");
-            pcg(a, b, &m, &opts).expect("lane converges").x
+            let m = Preconditioner::ic0(a).expect("SPD system");
+            pcg(a, b, &m, &opts).expect("system converges").x
         })
         .collect()
 }
 
-/// Batched warm-frame cost: one numeric refresh of the shared-pattern
-/// lane-interleaved factorization, then all lanes solved together.
-fn batch_frame(chol: &mut BatchCholesky, lanes: &[Csr], rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let refs: Vec<&Csr> = lanes.iter().collect();
-    chol.refactor(&refs).expect("SPD lanes");
-    let rhs_refs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
-    chol.solve_all(&rhs_refs)
+/// Direct warm-frame cost: each system refreshes its cached factor in
+/// place (numeric values only) and solves.
+fn refactor_frame(factors: &mut [SparseCholesky], systems: &[Csr], rhs: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    factors
+        .iter_mut()
+        .zip(systems)
+        .zip(rhs)
+        .map(|((chol, a), b)| {
+            chol.refactor(a).expect("SPD system");
+            chol.solve(b)
+        })
+        .collect()
+}
+
+/// The real per-area Step-1 gain systems of the 9-area IEEE-118
+/// decomposition, `frames` telemetry frames each: `out[area][frame]`.
+/// Every frame of one area shares that area's gain sparsity pattern.
+fn area_frame_systems(frames: u64) -> Vec<Vec<(Csr, Vec<f64>)>> {
+    let net = ieee118_like();
+    let pf = solve(&net, &PfOptions::default()).unwrap();
+    let d = decompose(&net, &DecompositionOptions::default());
+    d.areas
+        .iter()
+        .map(|a| {
+            let est = AreaEstimator::new(a.clone(), &net, &pf, WlsOptions::default());
+            (0..frames).map(|f| est.step1_gain_system(&est.generate_telemetry(1.0, 100 + f))).collect()
+        })
+        .collect()
 }
 
 fn main() {
@@ -198,140 +216,85 @@ fn main() {
         );
     }
 
-    // ---- Warm-frame batched direct solve vs per-lane IC(0)+PCG ----
+    // ---- Warm-frame cached refactor vs per-system IC(0)+PCG ----
     let frames: Vec<Vec<Csr>> = (0..FRAMES)
-        .map(|f| (0..LANES).map(|l| lane_frame(&gain, (f * LANES + l) as u64)).collect())
+        .map(|f| (0..SYSTEMS).map(|l| value_variant(&gain, (f * SYSTEMS + l) as u64)).collect())
         .collect();
-    let lane_rhs: Vec<Vec<f64>> = (0..LANES)
+    let sys_rhs: Vec<Vec<f64>> = (0..SYSTEMS)
         .map(|l| rhs.iter().map(|v| v * (1.0 + 0.01 * l as f64)).collect())
         .collect();
 
-    let refs: Vec<&Csr> = frames[0].iter().collect();
-    let mut batch = BatchCholesky::factor(&refs).expect("SPD warm lanes");
+    // One cached factor per system, built outside the timed region like
+    // the stream cache's first frame.
+    let mut factors: Vec<SparseCholesky> =
+        frames[0].iter().map(|a| SparseCholesky::factor(a).expect("SPD system")).collect();
 
-    // The batched path must agree bitwise with independent scalar
-    // factorizations before its timing means anything.
-    let batch_sols = batch_frame(&mut batch, &frames[0], &lane_rhs);
-    let warm_bitwise = frames[0].iter().zip(&lane_rhs).zip(&batch_sols).all(|((a, b), xs)| {
-        let scalar = SparseCholesky::factor(a).expect("SPD lane").solve(b);
-        scalar.iter().zip(xs).all(|(s, x)| s.to_bits() == x.to_bits())
+    // The refreshed factors must agree bitwise with from-scratch
+    // factorizations before the timing means anything.
+    let warm_sols = refactor_frame(&mut factors, &frames[1], &sys_rhs);
+    let warm_bitwise = frames[1].iter().zip(&sys_rhs).zip(&warm_sols).all(|((a, b), xs)| {
+        let fresh = SparseCholesky::factor(a).expect("SPD system").solve(b);
+        fresh.iter().zip(xs).all(|(s, x)| s.to_bits() == x.to_bits())
     });
 
     let mut fi = 0usize;
     let mut si = 0usize;
-    let (t_batch, t_prebatch) = paired_best_until(
+    let (t_refactor, t_pcg) = paired_best_until(
         WARM_ROUNDS,
         || {
             fi += 1;
             let f = &frames[fi % FRAMES];
             time_ns(|| {
-                std::hint::black_box(batch_frame(&mut batch, f, &lane_rhs));
+                std::hint::black_box(refactor_frame(&mut factors, f, &sys_rhs));
             })
         },
         || {
             si += 1;
             let f = &frames[si % FRAMES];
             time_ns(|| {
-                std::hint::black_box(prebatch_frame(f, &lane_rhs));
+                std::hint::black_box(pcg_frame(f, &sys_rhs));
             })
         },
         |f, s| f.saturating_mul(3) < s.saturating_mul(2),
     );
-    let warm_speedup = t_prebatch as f64 / t_batch as f64;
+    let warm_speedup = t_pcg as f64 / t_refactor as f64;
     println!(
-        "warm frame ({LANES} lanes): pre-batch {:>9.3} ms, batched {:>9.3} ms — {warm_speedup:.2}x",
-        t_prebatch as f64 / 1e6,
-        t_batch as f64 / 1e6,
+        "warm frame ({SYSTEMS} systems): IC(0)+PCG {:>9.3} ms, cached refactor {:>9.3} ms — {warm_speedup:.2}x",
+        t_pcg as f64 / 1e6,
+        t_refactor as f64 / 1e6,
     );
 
-    // ---- SIMD-widened scatter vs per-lane scalar scatter ----
-    // Same workload (one batched numeric refactorization of LANES
-    // same-pattern systems); only the value-scatter loop differs. The
-    // two paths are bitwise identical by construction — asserted first.
-    let scatter_frames: Vec<Csr> =
-        (0..LANES).map(|l| lane_frame(&gain, 64 + l as u64)).collect();
-    let scatter_refs: Vec<&Csr> = scatter_frames.iter().collect();
-    let saved_scatter_min = tuning::scatter_lanes_min();
-    tuning::set_scatter_lanes_min(1);
-    let mut widened = BatchCholesky::factor(&scatter_refs).expect("SPD lanes");
-    tuning::set_scatter_lanes_min(usize::MAX);
-    let mut scalar_scatter = BatchCholesky::factor(&scatter_refs).expect("SPD lanes");
-    let scatter_bitwise = (0..LANES).all(|l| {
-        widened
-            .solve_lane(l, &lane_rhs[l])
-            .iter()
-            .zip(&scalar_scatter.solve_lane(l, &lane_rhs[l]))
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-    });
-    let (t_wide, t_scalar_scatter) = paired_best(
+    // ---- Streaming round: every area refreshes its own cached factor vs
+    // every system factored from scratch, on the real per-area systems.
+    let areas = area_frame_systems(FRAMES as u64);
+    let mut area_factors: Vec<SparseCholesky> =
+        areas.iter().map(|f| SparseCholesky::factor(&f[0].0).expect("SPD system")).collect();
+    let (t_round_cached, t_round_fresh) = paired_best(
         WARM_ROUNDS,
         || {
-            tuning::set_scatter_lanes_min(1);
             time_ns(|| {
-                widened.refactor(&scatter_refs).expect("SPD lanes");
+                for (frames, chol) in areas.iter().zip(&mut area_factors) {
+                    for (g, b) in frames {
+                        chol.refactor(g).expect("SPD system");
+                        std::hint::black_box(chol.solve(b));
+                    }
+                }
             })
         },
         || {
-            tuning::set_scatter_lanes_min(usize::MAX);
             time_ns(|| {
-                scalar_scatter.refactor(&scatter_refs).expect("SPD lanes");
-            })
-        },
-    );
-    tuning::set_scatter_lanes_min(saved_scatter_min);
-    let scatter_speedup = t_scalar_scatter as f64 / t_wide as f64;
-    println!(
-        "scatter ({LANES} lanes): scalar {:>9.3} ms, widened {:>9.3} ms — {scatter_speedup:.2}x  bitwise-identical: {scatter_bitwise}",
-        t_scalar_scatter as f64 / 1e6,
-        t_wide as f64 / 1e6,
-    );
-
-    // ---- Streaming round: one cross-area batched dispatch vs per-area
-    // factoring — the round-level solve the service's wave driver runs.
-    // The plan's symbolic cache is warmed outside the timed region, like
-    // the persistent plan the service carries across rounds.
-    let round_rhs: Vec<&[f64]> = lane_rhs.iter().map(Vec::as_slice).collect();
-    let mut plan = BatchPlan::new();
-    let mut round_fi = 0usize;
-    {
-        let systems: Vec<(&Csr, &[f64])> =
-            frames[0].iter().zip(&round_rhs).map(|(g, b)| (g, *b)).collect();
-        let warmup = plan.solve_round(&systems);
-        assert_eq!(
-            warmup.batched_lanes + warmup.scalar_fallbacks,
-            LANES as u64,
-            "round dispatch accounting must close"
-        );
-    }
-    let mut round_si = 0usize;
-    let (t_round_batch, t_round_scalar) = paired_best(
-        WARM_ROUNDS,
-        || {
-            round_fi += 1;
-            let f = &frames[round_fi % FRAMES];
-            let systems: Vec<(&Csr, &[f64])> =
-                f.iter().zip(&round_rhs).map(|(g, b)| (g, *b)).collect();
-            time_ns(|| {
-                std::hint::black_box(plan.solve_round(&systems));
-            })
-        },
-        || {
-            round_si += 1;
-            let f = &frames[round_si % FRAMES];
-            time_ns(|| {
-                for (g, b) in f.iter().zip(&round_rhs) {
-                    std::hint::black_box(
-                        SparseCholesky::factor(g).expect("SPD system").solve(b),
-                    );
+                for (g, b) in areas.iter().flatten() {
+                    std::hint::black_box(SparseCholesky::factor(g).expect("SPD system").solve(b));
                 }
             })
         },
     );
-    let round_speedup = t_round_scalar as f64 / t_round_batch as f64;
+    let round_speedup = t_round_fresh as f64 / t_round_cached as f64;
     println!(
-        "streaming round ({LANES} systems): per-area {:>9.3} ms, batched {:>9.3} ms — {round_speedup:.2}x",
-        t_round_scalar as f64 / 1e6,
-        t_round_batch as f64 / 1e6,
+        "streaming round ({} areas x {FRAMES} frames): from scratch {:>9.3} ms, cached refactor {:>9.3} ms — {round_speedup:.2}x",
+        areas.len(),
+        t_round_fresh as f64 / 1e6,
+        t_round_cached as f64 / 1e6,
     );
 
     let json = format!(
@@ -347,17 +310,13 @@ fn main() {
             "  \"parallel_ms\": {par:.6},\n",
             "  \"speedup\": {speedup:.4},\n",
             "  \"deterministic_bitwise\": {bitwise},\n",
-            "  \"warm_lanes\": {lanes},\n",
-            "  \"warm_prebatch_ms_per_frame\": {warm_pre:.6},\n",
-            "  \"warm_batch_ms_per_frame\": {warm_batch:.6},\n",
-            "  \"warm_batch_speedup\": {warm_speedup:.4},\n",
-            "  \"warm_batch_bitwise\": {warm_bitwise},\n",
-            "  \"scatter_scalar_ms\": {scatter_scalar:.6},\n",
-            "  \"scatter_widened_ms\": {scatter_widened:.6},\n",
-            "  \"scatter_widened_speedup\": {scatter_speedup:.4},\n",
-            "  \"scatter_widened_bitwise\": {scatter_bitwise},\n",
-            "  \"stream_round_scalar_ms\": {round_scalar:.6},\n",
-            "  \"stream_round_batch_ms\": {round_batch:.6},\n",
+            "  \"warm_systems\": {systems},\n",
+            "  \"warm_pcg_ms_per_frame\": {warm_pcg:.6},\n",
+            "  \"warm_refactor_ms_per_frame\": {warm_refactor:.6},\n",
+            "  \"warm_refactor_speedup\": {warm_speedup:.4},\n",
+            "  \"warm_refactor_bitwise\": {warm_bitwise},\n",
+            "  \"stream_round_fresh_ms\": {round_fresh:.6},\n",
+            "  \"stream_round_cached_ms\": {round_cached:.6},\n",
             "  \"stream_round_speedup\": {round_speedup:.4}\n",
             "}}\n"
         ),
@@ -371,17 +330,13 @@ fn main() {
         par = t_par.as_secs_f64() * 1e3,
         speedup = speedup,
         bitwise = bitwise,
-        lanes = LANES,
-        warm_pre = t_prebatch as f64 / 1e6,
-        warm_batch = t_batch as f64 / 1e6,
+        systems = SYSTEMS,
+        warm_pcg = t_pcg as f64 / 1e6,
+        warm_refactor = t_refactor as f64 / 1e6,
         warm_speedup = warm_speedup,
         warm_bitwise = warm_bitwise,
-        scatter_scalar = t_scalar_scatter as f64 / 1e6,
-        scatter_widened = t_wide as f64 / 1e6,
-        scatter_speedup = scatter_speedup,
-        scatter_bitwise = scatter_bitwise,
-        round_scalar = t_round_scalar as f64 / 1e6,
-        round_batch = t_round_batch as f64 / 1e6,
+        round_fresh = t_round_fresh as f64 / 1e6,
+        round_cached = t_round_cached as f64 / 1e6,
         round_speedup = round_speedup,
     );
     // Round-trip through the parser so a malformed report can never ship.
@@ -398,32 +353,28 @@ fn main() {
         parallel_ms: f64,
         speedup: f64,
         deterministic_bitwise: bool,
-        warm_lanes: usize,
-        warm_prebatch_ms_per_frame: f64,
-        warm_batch_ms_per_frame: f64,
-        warm_batch_speedup: f64,
-        warm_batch_bitwise: bool,
-        scatter_scalar_ms: f64,
-        scatter_widened_ms: f64,
-        scatter_widened_speedup: f64,
-        scatter_widened_bitwise: bool,
-        stream_round_scalar_ms: f64,
-        stream_round_batch_ms: f64,
+        warm_systems: usize,
+        warm_pcg_ms_per_frame: f64,
+        warm_refactor_ms_per_frame: f64,
+        warm_refactor_speedup: f64,
+        warm_refactor_bitwise: bool,
+        stream_round_fresh_ms: f64,
+        stream_round_cached_ms: f64,
         stream_round_speedup: f64,
     }
     let parsed: SolverBenchReport = serde_json::from_str(&json).expect("valid JSON");
     assert!(parsed.sequential_ms > 0.0 && parsed.parallel_ms > 0.0);
-    assert!(parsed.warm_prebatch_ms_per_frame > 0.0 && parsed.warm_batch_ms_per_frame > 0.0);
+    assert!(parsed.warm_pcg_ms_per_frame > 0.0 && parsed.warm_refactor_ms_per_frame > 0.0);
     std::fs::create_dir_all("target/obs").expect("create target/obs");
     std::fs::write("target/obs/BENCH_solver.json", &json).expect("write BENCH_solver.json");
     println!("benchmark JSON written to target/obs/BENCH_solver.json");
 
     assert!(bitwise, "parallel solve diverged bitwise from the sequential reference");
-    assert!(warm_bitwise, "batched warm solve diverged bitwise from scalar per-lane solves");
+    assert!(warm_bitwise, "cached refactor diverged bitwise from from-scratch factorizations");
     assert!(
         warm_speedup >= 1.5,
-        "warm-frame batched solve speedup {warm_speedup:.2}x is below the 1.5x floor \
-         (amortization, not parallelism — it must hold on any core count)"
+        "warm-frame cached refactor speedup {warm_speedup:.2}x over IC(0)+PCG is below the \
+         1.5x floor (amortization, not parallelism — it must hold on any core count)"
     );
     // On a single-thread pool the tuning gate must route every "parallel"
     // kernel back to the sequential code path, so the parallel
@@ -437,15 +388,9 @@ fn main() {
              a single-thread pool on the sequential path (≥0.95x)"
         );
     }
-    assert!(scatter_bitwise, "widened scatter diverged bitwise from the per-lane loop");
-    assert!(
-        scatter_speedup >= 0.9,
-        "SIMD-widened scatter landed at {scatter_speedup:.2}x — it must never regress \
-         the batched refactorization (≥0.9x conservative floor)"
-    );
     assert!(
         round_speedup >= 1.3,
-        "streaming-round batched dispatch speedup {round_speedup:.2}x is below the 1.3x \
-         floor (shared symbolic analysis + lane amortization, any core count)"
+        "streaming-round cached refactor speedup {round_speedup:.2}x over from-scratch \
+         factorization is below the 1.3x floor (kept symbolic analysis, any core count)"
     );
 }

@@ -220,24 +220,6 @@ impl AreaEstimator {
         (jac.ata_weighted(&w), rhs)
     }
 
-    /// Opens a Gauss–Newton *wave* for a Step-1 solve: the caller drives
-    /// the iteration loop and supplies each gain-system solution itself,
-    /// which lets a streaming round collect the gain systems of *every*
-    /// area and dispatch them through one cross-area batched solve. The
-    /// per-iteration numeric sequence is identical to
-    /// [`AreaEstimator::step1_cached`], so a wave-driven solve is bitwise
-    /// equal to the callback-driven one.
-    ///
-    /// # Errors
-    /// Propagates WLS setup failures (length mismatch, structure build).
-    pub fn step1_wave<'a>(
-        &'a self,
-        set: &'a MeasurementSet,
-        cache: &'a mut SolveCache,
-    ) -> Result<pgse_estimation::GnWave<'a>, WlsError> {
-        self.step1_est.wave_begin(set, None, cache)
-    }
-
     /// DSE Step 1: local WLS on the area's own measurements.
     ///
     /// # Errors
@@ -601,7 +583,7 @@ mod tests {
         assert_eq!(rhs_a.len(), dim);
         // Same telemetry plan → same Jacobian structure → the gain
         // matrices of successive frames share one sparsity pattern. That
-        // is what lets the batched solver stack warm frames as lanes.
+        // is what lets a warm frame refresh the cached factor numerically.
         assert_eq!(gain_a.row_ptr(), gain_b.row_ptr());
         assert_eq!(gain_a.col_idx(), gain_b.col_idx());
         // And each frame's system is SPD: the direct solver must accept it

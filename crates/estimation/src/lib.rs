@@ -39,6 +39,5 @@ pub use measurement::{Measurement, MeasurementKind, MeasurementSet};
 // synthetic-telemetry generation is a test/benchmark concern, and callers
 // name it explicitly (`pgse_estimation::synthetic::TelemetryPlan`).
 pub use wls::{
-    GainSolver, GnWave, SolveCache, StateEstimate, StructureDescriptor, WlsError, WlsEstimator,
-    WlsOptions,
+    GainSolver, SolveCache, StateEstimate, StructureDescriptor, WlsError, WlsEstimator, WlsOptions,
 };

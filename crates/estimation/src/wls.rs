@@ -219,14 +219,16 @@ impl SolveCache {
 
     /// Prepares the cache for a restarted worker whose topology was
     /// verified unchanged (the checkpoint's [`StructureDescriptor`]
-    /// matches): the symbolic structures are kept — saving the re-analysis
-    /// the restart would otherwise pay — while all per-run numeric state
-    /// (cached factor, warm start) is dropped and the counters
-    /// are zeroed, since the supervisor has already absorbed them into its
-    /// retired totals. Results are unaffected either way: structures
-    /// rebuild deterministically from the first frame.
+    /// matches): the symbolic structures — including the cached factor's
+    /// minimum-degree analysis — are kept, so the restart costs a numeric
+    /// refresh rather than a re-analysis. The warm start is dropped and the
+    /// counters are zeroed, since the supervisor has already absorbed them
+    /// into its retired totals. The factor's numeric values are stale but
+    /// harmless: the next [`SparseCholesky::refactor`] overwrites every one
+    /// of them, and its pattern check still guards the structure. Results
+    /// are unaffected either way: a refactor is bitwise identical to a
+    /// from-scratch factorization.
     pub fn retain_structures_for_restart(&mut self) {
-        self.chol = None;
         self.warm = None;
         self.symbolic_builds = 0;
         self.symbolic_reuses = 0;
@@ -298,7 +300,7 @@ struct DirectCtx<'a> {
 
 /// Maps an SPD failure to the estimator-level "not observable" diagnosis,
 /// anything else to a solver error — the shared mapping of every direct
-/// gain-solve path (scalar and the round-batched waves).
+/// gain-solve path.
 fn spd_err(e: LaError) -> WlsError {
     match e {
         LaError::NotPositiveDefinite { .. } => WlsError::NotObservable(e.to_string()),
@@ -604,67 +606,6 @@ impl WlsEstimator {
         Ok(())
     }
 
-    /// Opens a resumable Gauss–Newton solve whose gain systems are solved
-    /// *externally* — the round-batching hook: a scheduler collects the
-    /// `(gain, rhs)` systems of many concurrent waves, solves them through
-    /// one pattern-grouped batched call (`sparsela::BatchPlan`), and feeds
-    /// each step back with [`GnWave::note_solved`] + [`GnWave::apply_step`].
-    ///
-    /// The wave performs exactly the per-iteration floating-point sequence
-    /// of [`WlsEstimator::estimate_cached`] with [`GainSolver::Direct`], so
-    /// driving an area through a wave (with a bitwise-identical external
-    /// solver) yields bitwise-identical states. Cache bookkeeping
-    /// (symbolic build/reuse, warm/cold, refactor counters) matches the
-    /// cached path tick for tick.
-    ///
-    /// On return the first iteration is already assembled: `gain()`/`rhs()`
-    /// hold the first system.
-    ///
-    /// # Errors
-    /// See [`WlsError`] — the same preamble rejections as the cached path.
-    pub fn wave_begin<'a>(
-        &'a self,
-        set: &'a MeasurementSet,
-        warm: Option<(&[f64], &[f64])>,
-        cache: &'a mut SolveCache,
-    ) -> Result<GnWave<'a>, WlsError> {
-        let n = self.net.n_buses();
-        if set.len() < self.space.dim() {
-            return Err(WlsError::NotObservable(format!(
-                "{} measurements for {} state variables",
-                set.len(),
-                self.space.dim()
-            )));
-        }
-        self.prepare_structures(set, cache)?;
-        let warm_used = warm.is_some() || cache.warm.is_some();
-        let (vm, va) = match (warm, &cache.warm) {
-            (Some((wm, wa)), _) => (wm.to_vec(), wa.to_vec()),
-            (None, Some((wm, wa))) => (wm.clone(), wa.clone()),
-            (None, None) => (vec![1.0; n], vec![0.0; n]),
-        };
-        if warm_used {
-            cache.warm_solves += 1;
-            pgse_obs::counter_add("wls.warm_starts", 1);
-        } else {
-            cache.cold_solves += 1;
-        }
-        let mut wave = GnWave {
-            est: self,
-            set,
-            cache,
-            vm,
-            va,
-            rhs: Vec::new(),
-            solver_iterations: Vec::new(),
-            iter: 0,
-            last_step: f64::INFINITY,
-            converged: false,
-        };
-        wave.assemble();
-        Ok(wave)
-    }
-
     /// Solves one gain system `G·Δx = rhs` with the configured solver,
     /// returning the step and the inner-solver iteration count. `direct`
     /// carries the cached-factor slot and refactorization counters of the
@@ -723,146 +664,6 @@ impl WlsEstimator {
                 Ok((out.x, out.iterations))
             }
         }
-    }
-}
-
-/// One area's in-flight Gauss–Newton solve with the linear solves
-/// externalized, created by [`WlsEstimator::wave_begin`]. The driver loop
-/// is:
-///
-/// 1. read [`GnWave::gain`] / [`GnWave::rhs`] (collect across waves),
-/// 2. solve externally (e.g. one batched round across all areas),
-/// 3. [`GnWave::note_solved`] + [`GnWave::apply_step`] — which assembles
-///    the next iteration unless the wave is [`GnWave::done`],
-/// 4. when done, [`GnWave::finish`] closes the solve exactly as
-///    `estimate_cached` would (residuals, objective, warm-state update,
-///    `wls.gn_iterations`).
-pub struct GnWave<'a> {
-    est: &'a WlsEstimator,
-    set: &'a MeasurementSet,
-    cache: &'a mut SolveCache,
-    vm: Vec<f64>,
-    va: Vec<f64>,
-    rhs: Vec<f64>,
-    solver_iterations: Vec<usize>,
-    iter: usize,
-    last_step: f64,
-    converged: bool,
-}
-
-impl<'a> GnWave<'a> {
-    /// Assembles the next iteration's Jacobian, right-hand side, and gain
-    /// matrix into the cache buffers.
-    fn assemble(&mut self) {
-        self.iter += 1;
-        let est = self.est;
-        let pattern = self.cache.pattern.as_ref().expect("prepared by wave_begin");
-        let gain_sym = self.cache.gain_sym.as_ref().expect("prepared by wave_begin");
-        let jac = self.cache.jac_buf.as_mut().expect("prepared by wave_begin");
-        let gain = self.cache.gain_buf.as_mut().expect("prepared by wave_begin");
-        let h = {
-            let _sp = pgse_obs::span("wls.jacobian");
-            let h = evaluate_h(&est.net, &est.ybus, self.set, &self.vm, &self.va);
-            pattern.assemble_into(&est.net, &est.ybus, self.set, &est.space, &self.vm, &self.va, jac);
-            h
-        };
-        let z = self.set.values();
-        let w = self.set.weights();
-        let wr: Vec<f64> =
-            z.iter().zip(&h).zip(&w).map(|((zi, hi), wi)| (zi - hi) * wi).collect();
-        self.rhs = vec![0.0; est.space.dim()];
-        jac.spmv_transpose(&wr, &mut self.rhs);
-        {
-            let _sp = pgse_obs::span("wls.gain");
-            gain_sym.compute_into(jac, &w, gain);
-        }
-    }
-
-    /// The current iteration's gain matrix `G = HᵀWH`.
-    pub fn gain(&self) -> &Csr {
-        self.cache.gain_buf.as_ref().expect("assembled")
-    }
-
-    /// The current iteration's right-hand side `HᵀWr`.
-    pub fn rhs(&self) -> &[f64] {
-        &self.rhs
-    }
-
-    /// Records how the external solver handled this iteration's system —
-    /// `symbolic_reused: true` for a numeric pass over a cached symbolic
-    /// analysis (the batched analogue of a factor refresh), `false` for a
-    /// full analysis — keeping the cache's
-    /// `refactor_reuse + refactor_full == gn_iterations` identity exact.
-    pub fn note_solved(&mut self, symbolic_reused: bool) {
-        if symbolic_reused {
-            self.cache.refactor_reuse += 1;
-            pgse_obs::counter_add("wls.refactor.reuse", 1);
-        } else {
-            self.cache.refactor_full += 1;
-            pgse_obs::counter_add("wls.refactor.full", 1);
-        }
-    }
-
-    /// Applies the externally solved step `Δx`, then assembles the next
-    /// iteration unless converged or out of iterations. Returns
-    /// [`GnWave::done`].
-    pub fn apply_step(&mut self, dx: &[f64]) -> bool {
-        self.solver_iterations.push(0);
-        self.est.space.apply_update(dx, &mut self.vm, &mut self.va);
-        self.last_step = dx.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        self.converged = self.last_step <= self.est.opts.tol;
-        if !self.done() {
-            self.assemble();
-        }
-        self.done()
-    }
-
-    /// Whether the wave needs no further solves (converged or exhausted).
-    pub fn done(&self) -> bool {
-        self.converged || self.iter >= self.est.opts.max_iter
-    }
-
-    /// Gauss–Newton iterations assembled so far.
-    pub fn iterations(&self) -> usize {
-        self.iter
-    }
-
-    /// Maps an external solver failure for this wave's system to the
-    /// estimator-level error the scalar path would report.
-    pub fn solver_error(e: LaError) -> WlsError {
-        spd_err(e)
-    }
-
-    /// Closes the solve: on convergence computes residuals and objective,
-    /// stores the warm state in the cache, and returns the estimate —
-    /// exactly what `estimate_cached` does. Ticks `wls.gn_iterations`
-    /// either way.
-    ///
-    /// # Errors
-    /// [`WlsError::DidNotConverge`] when the iteration budget ran out.
-    pub fn finish(self) -> Result<StateEstimate, WlsError> {
-        pgse_obs::counter_add("wls.gn_iterations", self.iter as u64);
-        if !self.converged {
-            return Err(WlsError::DidNotConverge {
-                iterations: self.iter,
-                last_step: self.last_step,
-            });
-        }
-        let est = self.est;
-        let z = self.set.values();
-        let w = self.set.weights();
-        let h = evaluate_h(&est.net, &est.ybus, self.set, &self.vm, &self.va);
-        let residuals: Vec<f64> = z.iter().zip(&h).map(|(zi, hi)| zi - hi).collect();
-        let objective = residuals.iter().zip(&w).map(|(ri, wi)| ri * ri * wi).sum();
-        self.cache.warm = Some((self.vm.clone(), self.va.clone()));
-        Ok(StateEstimate {
-            vm: self.vm,
-            va: self.va,
-            iterations: self.iter,
-            objective,
-            residuals,
-            solver_iterations: self.solver_iterations,
-        })
     }
 }
 
@@ -1207,54 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn wave_driven_solve_matches_cached_direct_bitwise() {
-        let net = ieee14();
-        let set = exact_set(&net, &[0]);
-        let est = WlsEstimator::new(net, StateSpace::with_reference(14, 0), WlsOptions::direct());
-
-        let mut cache_scalar = SolveCache::new();
-        let scalar: Vec<StateEstimate> = (0..2)
-            .map(|_| est.estimate_cached(&set, None, &mut cache_scalar).unwrap())
-            .collect();
-
-        let mut cache_wave = SolveCache::new();
-        let mut plan = pgse_sparsela::BatchPlan::new();
-        let mut waved: Vec<StateEstimate> = Vec::new();
-        for _ in 0..2 {
-            let mut wave = est.wave_begin(&set, None, &mut cache_wave).unwrap();
-            loop {
-                let out = plan.solve_round(&[(wave.gain(), wave.rhs())]);
-                wave.note_solved(out.sym_reused[0]);
-                let x = out.results.into_iter().next().unwrap().unwrap();
-                if wave.apply_step(&x) {
-                    break;
-                }
-            }
-            waved.push(wave.finish().unwrap());
-        }
-
-        for (s, w) in scalar.iter().zip(&waved) {
-            assert_eq!(s.iterations, w.iterations);
-            for i in 0..14 {
-                assert_eq!(s.vm[i].to_bits(), w.vm[i].to_bits(), "vm[{i}]");
-                assert_eq!(s.va[i].to_bits(), w.va[i].to_bits(), "va[{i}]");
-            }
-        }
-        // Cache bookkeeping matches the scalar path tick for tick.
-        assert_eq!(cache_wave.symbolic_builds, cache_scalar.symbolic_builds);
-        assert_eq!(cache_wave.symbolic_reuses, cache_scalar.symbolic_reuses);
-        assert_eq!(cache_wave.warm_solves, cache_scalar.warm_solves);
-        assert_eq!(cache_wave.cold_solves, cache_scalar.cold_solves);
-        assert_eq!(cache_wave.refactor_full, cache_scalar.refactor_full);
-        assert_eq!(cache_wave.refactor_reuse, cache_scalar.refactor_reuse);
-        assert_eq!(
-            cache_wave.refactor_reuse + cache_wave.refactor_full,
-            (waved[0].iterations + waved[1].iterations) as u64
-        );
-        assert!(cache_wave.warm_state().is_some());
-    }
-
-    #[test]
     fn restart_retention_keeps_structures_and_zeroes_counters() {
         let net = ieee14();
         let set = exact_set(&net, &[0]);
@@ -1269,10 +1022,21 @@ mod tests {
         assert_eq!(cache.symbolic_builds, 0);
         assert_eq!(cache.refactor_reuse + cache.refactor_full, 0);
         // The next solve reuses the kept analysis instead of rebuilding.
-        est.estimate_cached(&set, None, &mut cache).unwrap();
+        let revived = est.estimate_cached(&set, None, &mut cache).unwrap();
         assert_eq!(cache.symbolic_builds, 0);
         assert_eq!(cache.symbolic_reuses, 1);
         assert_eq!(cache.cold_solves, 1, "warm state does not survive a restart");
+        // The factor's symbolic analysis survived too: every gain solve is
+        // a numeric refresh, none a from-scratch factorization.
+        assert_eq!(cache.refactor_full, 0);
+        assert_eq!(cache.refactor_reuse, revived.iterations as u64);
+        // And the revived solve is bitwise the solve of a fresh cache.
+        let fresh = est.estimate_cached(&set, None, &mut SolveCache::new()).unwrap();
+        assert_eq!(revived.iterations, fresh.iterations);
+        for i in 0..14 {
+            assert_eq!(revived.vm[i].to_bits(), fresh.vm[i].to_bits(), "vm[{i}]");
+            assert_eq!(revived.va[i].to_bits(), fresh.va[i].to_bits(), "va[{i}]");
+        }
     }
 
     #[test]

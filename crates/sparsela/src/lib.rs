@@ -27,7 +27,6 @@
 //! * a minimal complex number type ([`complex::Cplx`]) shared by the power
 //!   system crates.
 
-pub mod batch;
 pub mod cholesky;
 pub mod complex;
 pub mod coo;
@@ -43,7 +42,6 @@ pub mod tuning;
 pub mod update;
 pub mod vecops;
 
-pub use batch::{group_by_pattern, solve_systems, BatchCholesky, BatchPlan, RoundOutcome};
 pub use cholesky::EnvelopeCholesky;
 pub use complex::Cplx;
 pub use coo::Coo;
@@ -69,13 +67,10 @@ pub enum LaError {
     NotPositiveDefinite { step: usize, value: f64 },
     /// An iterative solver failed to reach the requested tolerance.
     DidNotConverge { iterations: usize, residual: f64 },
-    /// The matrix handed to a numeric-only refactorization (or to a batched
-    /// lane) does not carry the pattern the symbolic structure was built
-    /// from; a fresh symbolic analysis is required.
+    /// The matrix handed to a numeric-only refactorization does not carry
+    /// the pattern the symbolic structure was built from; a fresh symbolic
+    /// analysis is required.
     PatternMismatch { expected_nnz: usize, found_nnz: usize },
-    /// A batched operation failed on one lane; `source` is the per-lane
-    /// failure.
-    Lane { lane: usize, source: Box<LaError> },
     /// A low-rank (Sherman–Morrison) update produced a singular modified
     /// matrix: the denominator `1 + c·uᵀA⁻¹u` vanished. For a Laplacian
     /// downdate this is the bridge-removal (islanding) case.
@@ -108,9 +103,6 @@ impl std::fmt::Display for LaError {
                     f,
                     "sparsity pattern mismatch: symbolic structure has {expected_nnz} entries, matrix has {found_nnz}"
                 )
-            }
-            LaError::Lane { lane, source } => {
-                write!(f, "batched lane {lane} failed: {source}")
             }
             LaError::SingularUpdate { denom } => {
                 write!(

@@ -11,13 +11,12 @@
 //!
 //! The symbolic side (permutation, elimination tree, row patterns, the full
 //! structure of `L`) lives in [`CholSymbolic`] and depends only on the
-//! matrix *pattern*. When the pattern is unchanged across solves — the warm
-//! frames of the streaming estimator, or the lanes of a batched multi-area
-//! solve ([`crate::batch`]) — the symbolic analysis is paid once and every
-//! later factorization is a numeric-only refresh
-//! ([`SparseCholesky::refactor`]) that replays exactly the same
-//! floating-point operation sequence as a from-scratch factorization, so
-//! the two are bitwise identical (see DESIGN.md §12).
+//! matrix *pattern*. When the pattern is unchanged across solves — the
+//! Gauss–Newton iterations and warm frames of the streaming estimator —
+//! the symbolic analysis is paid once and every later factorization is a
+//! numeric-only refresh ([`SparseCholesky::refactor`]) that replays
+//! exactly the same floating-point operation sequence as a from-scratch
+//! factorization, so the two are bitwise identical (see DESIGN.md §12).
 //!
 //! Reference: T. A. Davis, *Direct Methods for Sparse Linear Systems*,
 //! SIAM 2006, ch. 4 (the CSparse `cs_chol` family).
@@ -234,41 +233,14 @@ impl CholSymbolic {
         self.a_col_idx.len()
     }
 
-    /// Nonzeros in `L` (per lane, for batched factors).
+    /// Nonzeros in `L`.
     pub fn l_nnz(&self) -> usize {
         self.li.len()
     }
 
-    /// Crate-internal accessors for the batched factorization/solve, which
-    /// share this structure across lanes.
-    pub(crate) fn perm(&self) -> &[usize] {
-        &self.perm
-    }
-    pub(crate) fn lp(&self) -> &[usize] {
-        &self.lp
-    }
-    pub(crate) fn li(&self) -> &[usize] {
-        &self.li
-    }
-    pub(crate) fn rp(&self) -> &[usize] {
-        &self.rp
-    }
-    pub(crate) fn ri(&self) -> &[usize] {
-        &self.ri
-    }
-    pub(crate) fn ap_row_ptr(&self) -> &[usize] {
-        &self.ap_row_ptr
-    }
-    pub(crate) fn ap_col_idx(&self) -> &[usize] {
-        &self.ap_col_idx
-    }
-    pub(crate) fn ap_val_of_a(&self) -> &[usize] {
-        &self.ap_val_of_a
-    }
-
     /// The pivot-rejection threshold of the numeric pass on `values`
     /// (`1e-10 · max |diag|`, matching the from-scratch factorization).
-    pub(crate) fn tiny_of(&self, values: &[f64]) -> f64 {
+    fn tiny_of(&self, values: &[f64]) -> f64 {
         let mut scale = 0.0f64;
         for k in 0..self.n {
             for p in self.ap_row_ptr[k]..self.ap_row_ptr[k + 1] {
@@ -335,8 +307,8 @@ impl CholSymbolic {
 
 /// A sparse `L·Lᵀ` factorization with a fill-reducing symmetric
 /// permutation, `L` stored column-compressed. The symbolic structure is
-/// shared (`Arc`) so refactorizations and batched solves never re-run the
-/// pattern analysis.
+/// shared (`Arc`) so refactorizations and factors built over one analysis
+/// ([`SparseCholesky::factor_with_symbolic`]) never re-run it.
 #[derive(Debug, Clone)]
 pub struct SparseCholesky {
     sym: Arc<CholSymbolic>,
@@ -412,12 +384,6 @@ impl SparseCholesky {
     /// The shared symbolic structure.
     pub fn symbolic(&self) -> &CholSymbolic {
         &self.sym
-    }
-
-    /// A handle to the symbolic structure, for sharing with other factors
-    /// of the same pattern (see [`crate::batch`]).
-    pub fn symbolic_arc(&self) -> Arc<CholSymbolic> {
-        Arc::clone(&self.sym)
     }
 
     /// Matrix dimension.

@@ -11,9 +11,7 @@
 //!
 //! The same split powers the solve side: [`crate::scholesky::CholSymbolic`]
 //! caches the Cholesky elimination structure of the gain pattern so warm
-//! frames refresh numeric factors without re-analysis, and
-//! [`crate::batch`] stacks identical-pattern gain systems into lanes over
-//! one shared symbolic structure.
+//! frames refresh numeric factors without re-analysis.
 
 use crate::csr::Csr;
 

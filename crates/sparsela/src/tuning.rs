@@ -18,22 +18,13 @@ use std::sync::Once;
 
 const DEFAULT_PAR_ELEMS: usize = 4096;
 const DEFAULT_PAR_ROWS: usize = 256;
-const DEFAULT_BATCH_LANES_MIN: usize = 2;
-const DEFAULT_SCATTER_LANES_MIN: usize = 2;
 
 static PAR_ELEMS: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_ELEMS);
 static PAR_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_ROWS);
-static BATCH_LANES_MIN: AtomicUsize = AtomicUsize::new(DEFAULT_BATCH_LANES_MIN);
-static SCATTER_LANES_MIN: AtomicUsize = AtomicUsize::new(DEFAULT_SCATTER_LANES_MIN);
 
 /// Environment variables recognized by [`apply_env_overrides`], paired
 /// with the setter they drive.
-pub const ENV_KEYS: [&str; 4] = [
-    "PGSE_TUNING_PAR_ELEMS",
-    "PGSE_TUNING_PAR_ROWS",
-    "PGSE_TUNING_BATCH_LANES_MIN",
-    "PGSE_TUNING_SCATTER_LANES_MIN",
-];
+pub const ENV_KEYS: [&str; 2] = ["PGSE_TUNING_PAR_ELEMS", "PGSE_TUNING_PAR_ROWS"];
 
 static ENV_INIT: Once = Once::new();
 
@@ -64,8 +55,6 @@ pub fn apply_overrides<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) 
         match key {
             "PGSE_TUNING_PAR_ELEMS" => set_par_elems_threshold(n),
             "PGSE_TUNING_PAR_ROWS" => set_par_rows_threshold(n),
-            "PGSE_TUNING_BATCH_LANES_MIN" => set_batch_lanes_min(n),
-            "PGSE_TUNING_SCATTER_LANES_MIN" => set_scatter_lanes_min(n),
             _ => continue,
         }
         applied += 1;
@@ -95,35 +84,6 @@ pub fn set_par_rows_threshold(n: usize) {
     PAR_ROWS.store(n, Ordering::Relaxed);
 }
 
-/// Minimum number of identical-pattern systems in a group before
-/// [`crate::batch::solve_systems`] uses the lane-interleaved batched
-/// factorization; smaller groups solve scalar per-lane. Both paths are
-/// bitwise identical, so this knob only trades setup cost against
-/// amortized index traversal.
-pub fn batch_lanes_min() -> usize {
-    init_from_env();
-    BATCH_LANES_MIN.load(Ordering::Relaxed)
-}
-
-/// Sets the batched-solve lane threshold (process-wide).
-pub fn set_batch_lanes_min(n: usize) {
-    BATCH_LANES_MIN.store(n, Ordering::Relaxed);
-}
-
-/// Minimum lane count before the batched refactorization's scatter phase
-/// uses the `LANE_WIDTH`-chunked gather kernels in `vecops`; below it the
-/// plain per-lane loop runs. Pure copies either way — bitwise identical —
-/// so the knob only selects the faster loop shape per machine.
-pub fn scatter_lanes_min() -> usize {
-    init_from_env();
-    SCATTER_LANES_MIN.load(Ordering::Relaxed)
-}
-
-/// Sets the scatter chunking threshold (process-wide).
-pub fn set_scatter_lanes_min(n: usize) {
-    SCATTER_LANES_MIN.store(n, Ordering::Relaxed);
-}
-
 /// True when splitting work across threads can actually use more than
 /// one worker. The parallel kernels AND this into their size gates so a
 /// `parallel: true` configuration on a 1-thread pool (the CI container)
@@ -142,37 +102,26 @@ mod tests {
     fn overrides_parse_apply_and_ignore_garbage() {
         // Snapshot and restore: other tests in this crate read these
         // process-wide knobs.
-        let save = (
-            par_elems_threshold(),
-            par_rows_threshold(),
-            batch_lanes_min(),
-            scatter_lanes_min(),
-        );
+        let save = (par_elems_threshold(), par_rows_threshold());
 
         let applied = apply_overrides([
             ("PGSE_TUNING_PAR_ELEMS", "123"),
-            ("PGSE_TUNING_PAR_ROWS", " 77 "),          // whitespace tolerated
-            ("PGSE_TUNING_BATCH_LANES_MIN", "potato"), // parse error → ignored
-            ("PGSE_TUNING_SCATTER_LANES_MIN", "0"),    // zero → ignored
-            ("PGSE_TUNING_UNKNOWN", "9"),              // unknown key → ignored
+            ("PGSE_TUNING_PAR_ROWS", " 77 "), // whitespace tolerated
+            ("PGSE_TUNING_UNKNOWN", "9"),     // unknown key → ignored
         ]);
         assert_eq!(applied, 2);
         assert_eq!(par_elems_threshold(), 123);
         assert_eq!(par_rows_threshold(), 77);
-        assert_eq!(batch_lanes_min(), save.2, "bad value must keep current");
-        assert_eq!(scatter_lanes_min(), save.3, "zero must keep current");
 
         let applied = apply_overrides([
-            ("PGSE_TUNING_BATCH_LANES_MIN", "4"),
-            ("PGSE_TUNING_SCATTER_LANES_MIN", "8"),
+            ("PGSE_TUNING_PAR_ELEMS", "potato"), // parse error → ignored
+            ("PGSE_TUNING_PAR_ROWS", "0"),       // zero → ignored
         ]);
-        assert_eq!(applied, 2);
-        assert_eq!(batch_lanes_min(), 4);
-        assert_eq!(scatter_lanes_min(), 8);
+        assert_eq!(applied, 0);
+        assert_eq!(par_elems_threshold(), 123, "bad value must keep current");
+        assert_eq!(par_rows_threshold(), 77, "zero must keep current");
 
         set_par_elems_threshold(save.0);
         set_par_rows_threshold(save.1);
-        set_batch_lanes_min(save.2);
-        set_scatter_lanes_min(save.3);
     }
 }

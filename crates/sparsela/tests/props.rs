@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pgse_sparsela::pcg::Ic0Factor;
-use pgse_sparsela::{Coo, Csr, EnvelopeCholesky, SparseCholesky, SparseLu};
+use pgse_sparsela::{Coo, Csr, EnvelopeCholesky, LaError, SparseCholesky, SparseLu};
 
 /// Random SPD matrix via `MᵀM + c·I`, returned with a right-hand side.
 fn spd_system() -> impl Strategy<Value = (Csr, Vec<f64>)> {
@@ -22,6 +22,25 @@ fn spd_system() -> impl Strategy<Value = (Csr, Vec<f64>)> {
             (spd, rhs)
         })
     })
+}
+
+/// A same-pattern SPD value variant of `base`: the diagonal congruence
+/// `D·base·D` with positive per-index scales keyed on `(seed, index)`.
+fn value_variant(base: &Csr, seed: u64) -> Csr {
+    let n = base.nrows();
+    let d: Vec<f64> = (0..n)
+        .map(|i| 1.0 + 0.02 * ((seed.wrapping_mul(37) + i as u64) % 19) as f64)
+        .collect();
+    let mut m = base.clone();
+    let row_ptr = base.row_ptr().to_vec();
+    let col_idx = base.col_idx().to_vec();
+    let vals = m.values_mut();
+    for r in 0..n {
+        for p in row_ptr[r]..row_ptr[r + 1] {
+            vals[p] *= d[r] * d[col_idx[p]];
+        }
+    }
+    m
 }
 
 /// Random permutation of `0..n` derived from a seed.
@@ -84,6 +103,47 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn refactor_matches_fresh_factorization_bitwise(
+        (spd, rhs) in spd_system(),
+        seed in 0u64..1000,
+    ) {
+        // A numeric refresh over the kept symbolic analysis replays the
+        // from-scratch operation sequence exactly.
+        let first = value_variant(&spd, seed);
+        let second = value_variant(&spd, seed + 100);
+        let mut warm = SparseCholesky::factor(&first).unwrap();
+        warm.refactor(&second).unwrap();
+        let fresh = SparseCholesky::factor(&second).unwrap();
+        for (x, y) in warm.solve(&rhs).iter().zip(&fresh.solve(&rhs)) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    fn failed_refactor_preserves_the_previous_factor(
+        (spd, rhs) in spd_system(),
+        seed in 0u64..1000,
+    ) {
+        let good = value_variant(&spd, seed);
+        // Same pattern, every value negated: symmetric but negative
+        // definite, so the refresh must fail.
+        let mut poisoned = good.clone();
+        for v in poisoned.values_mut() {
+            *v = -*v;
+        }
+        let mut chol = SparseCholesky::factor(&good).unwrap();
+        let before = chol.solve(&rhs);
+        prop_assert!(matches!(
+            chol.refactor(&poisoned),
+            Err(LaError::NotPositiveDefinite { .. })
+        ));
+        // The old numeric factor survives a failed refresh untouched.
+        for (x, y) in before.iter().zip(&chol.solve(&rhs)) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 

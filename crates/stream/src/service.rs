@@ -83,7 +83,7 @@ use pgse_dse::runner::aggregate;
 use pgse_dse::{AreaEstimator, AreaSolution, Decomposition, DecompositionOptions, PseudoMeasurement};
 use pgse_estimation::measurement::{MeasurementKind, MeasurementSet};
 use pgse_estimation::synthetic::NoiseProcess;
-use pgse_estimation::wls::{GnWave, SolveCache, WlsOptions};
+use pgse_estimation::wls::{SolveCache, WlsOptions};
 use pgse_estimation::{baddata, restoration};
 use pgse_grid::Network;
 use pgse_medici::{
@@ -96,7 +96,6 @@ use pgse_partition::{
     partition_kway, repartition_shrink, KwayOptions, Partition, RepartitionOptions, WeightedGraph,
 };
 use pgse_powerflow::{solve as solve_pf, PfError, PfOptions};
-use pgse_sparsela::{BatchPlan, Csr};
 use rayon::prelude::*;
 
 use crate::ingest::{IngestQueue, IngestStats};
@@ -327,17 +326,15 @@ pub struct StreamReport {
     /// Gain solves that factored from scratch (first iteration of a
     /// frame, pattern change, or an uncached/PCG configuration).
     pub refactor_full: u64,
-    /// Step-1 gain systems dispatched through the round-level batch plan
-    /// (warm runs only; cold runs solve inside the estimator and leave
-    /// this — and the three counters below — at zero).
+    /// Step-1 gain solves: one per Step-1 Gauss–Newton iteration of a
+    /// fresh solve (warm and cold runs alike).
     pub gain_solves: u64,
-    /// Dispatched gain systems solved inside a pattern-grouped batched
-    /// factorization. `batched_lanes + scalar_fallbacks == gain_solves`.
+    /// Always 0: every area solves Step 1 on its own cached factor, and no
+    /// gain system is batched across areas. Kept for existing readers of
+    /// the report; `batched_lanes + scalar_fallbacks == gain_solves`.
     pub batched_lanes: u64,
-    /// Pattern groups batch-factored, summed over all rounds and waves.
-    pub batch_groups: u64,
-    /// Dispatched gain systems that fell back to the scalar solver (odd
-    /// pattern, under-filled group, or a failed batched attempt).
+    /// Always equal to `gain_solves`: every Step-1 gain solve is a scalar
+    /// per-area solve. Kept for existing readers of the report.
     pub scalar_fallbacks: u64,
     /// Always 0: Step 2 solves on the same cached sparse Cholesky as
     /// Step 1, and no solve is condensed. Kept for existing readers of the
@@ -690,10 +687,6 @@ impl StreamService {
         // The topology stage the solver currently runs; advanced when a
         // round's frames carry a newer version.
         let mut active_version: usize = 0;
-        // Round-level batch plan: pattern-grouped symbolic analyses shared
-        // by every Step-1 gain solve of the run (warm mode only). Persists
-        // across rounds so same-pattern areas keep hitting one analysis.
-        let mut plan = BatchPlan::new();
 
         // Supervision state: watchdog, checkpoint store, fleet liveness,
         // the live area → cluster mapping, and the kill-schedule flags.
@@ -1072,53 +1065,52 @@ impl StreamService {
                 let round_start = Instant::now();
                 let mut round_span = self.rec.span_at("stream.frame", target_seq);
 
-                // DSE Step 1: fresh areas fan out across the thread pool
-                // (the per-area recorder keeps each area's trace on its own
-                // deterministic logical clock regardless of which worker
-                // thread runs it). `catch_unwind` sits *inside* the closure
-                // so the pool never sees a panic — the supervisor does.
-                //
-                // Warm runs drive the round through Gauss–Newton *waves*:
-                // the areas' gain systems are collected per iteration and
-                // dispatched through one pattern-grouped batched solve
-                // instead of each area factoring alone.
-                let step1: Vec<StageOutcome> = if cfg.warm {
-                    self.round_batched_step1(
-                        ests,
-                        &fresh,
-                        &last_sets,
-                        &panic_now,
-                        &mut s1_caches,
-                        &mut plan,
-                        &mut report,
-                    )
-                } else {
-                    ests.par_iter()
-                        .enumerate()
-                        .map(|(a, est)| {
-                            if !fresh[a] {
-                                return StageOutcome::Skipped;
+                // DSE Step 1: fresh areas fan out across the thread pool,
+                // each solving on its own cached factor (the per-area
+                // recorder keeps each area's trace on its own deterministic
+                // logical clock regardless of which worker thread runs it).
+                // `catch_unwind` sits *inside* the closure so the pool
+                // never sees a panic — the supervisor does.
+                let step1: Vec<StageOutcome> = ests
+                    .par_iter()
+                    .enumerate()
+                    .zip(s1_caches.par_iter_mut())
+                    .map(|((a, est), cache)| {
+                        if !fresh[a] {
+                            return StageOutcome::Skipped;
+                        }
+                        let Some(set) = last_sets[a].as_ref() else {
+                            return StageOutcome::Skipped;
+                        };
+                        let rec = &self.area_recs[a];
+                        let inject = panic_now[a];
+                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            if inject {
+                                std::panic::panic_any(INJECTED_PANIC);
                             }
-                            let Some(set) = last_sets[a].as_ref() else {
-                                return StageOutcome::Skipped;
-                            };
-                            let rec = &self.area_recs[a];
-                            let inject = panic_now[a];
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if inject {
-                                        std::panic::panic_any(INJECTED_PANIC);
-                                    }
-                                    pgse_obs::with_recorder(rec, || est.step1(set))
-                                }));
-                            match out {
-                                Ok(Ok(sol)) => StageOutcome::Solved(sol),
-                                Ok(Err(_)) => StageOutcome::Failed,
-                                Err(_) => StageOutcome::Panicked,
-                            }
-                        })
-                        .collect()
-                };
+                            pgse_obs::with_recorder(rec, || {
+                                if cfg.warm {
+                                    est.step1_cached(set, cache)
+                                } else {
+                                    est.step1(set)
+                                }
+                            })
+                        }));
+                        match out {
+                            Ok(Ok(sol)) => StageOutcome::Solved(sol),
+                            Ok(Err(_)) => StageOutcome::Failed,
+                            Err(_) => StageOutcome::Panicked,
+                        }
+                    })
+                    .collect();
+                // One scalar gain solve per Step-1 Gauss–Newton iteration;
+                // counted before the bad-data gate, whose LNR re-solves
+                // run outside the per-area caches.
+                for outcome in &step1 {
+                    if let StageOutcome::Solved(s) = outcome {
+                        report.gain_solves += s.iterations as u64;
+                    }
+                }
 
                 // Bad-data gate: chi-square test on every fresh Step-1
                 // objective. A clean frame pays only one critical-value
@@ -1182,10 +1174,10 @@ impl StreamService {
                                     area: a,
                                     removed: rep.removed,
                                 });
-                                // Keep the wave's iteration count: the LNR
-                                // re-solves bypass the cache, so folding
-                                // them into `gn_iterations` would break
-                                // the refactorization-accounting pin.
+                                // Keep the cached solve's iteration count:
+                                // the LNR re-solves bypass the cache, so
+                                // folding them into `gn_iterations` would
+                                // break the refactorization-accounting pin.
                                 step1[a] = StageOutcome::Solved(AreaSolution {
                                     vm: rep.estimate.vm,
                                     va: rep.estimate.va,
@@ -1508,9 +1500,9 @@ impl StreamService {
         self.rec.counter_add("stream.worker_panics", report.worker_panics);
         self.rec.counter_add("stream.refactor_reuse", report.refactor_reuse);
         self.rec.counter_add("stream.refactor_full", report.refactor_full);
+        report.scalar_fallbacks = report.gain_solves;
         self.rec.counter_add("stream.gain_solves", report.gain_solves);
         self.rec.counter_add("stream.batched_lanes", report.batched_lanes);
-        self.rec.counter_add("stream.batch_groups", report.batch_groups);
         self.rec.counter_add("stream.scalar_fallbacks", report.scalar_fallbacks);
         // Robustness counters. Deliberately *counts only* — the gate/LNR
         // wall-clock nanos stay out of obs so same-seed runs replay to
@@ -1547,139 +1539,6 @@ impl StreamService {
         report.restore_p99_ms = percentile(&restore_ms, 0.99);
         report.elapsed = start.elapsed();
         report
-    }
-
-    /// One round of wave-driven, cross-area batched Step-1 solving.
-    ///
-    /// Phase A (parallel): every fresh area assembles its first Jacobian /
-    /// gain system and opens a [`GnWave`] — panic injection and
-    /// containment sit here, exactly like the callback fan-out, so the
-    /// thread pool never sees a panic. Phase B (the round driver): while
-    /// any wave is still iterating, the in-flight gain systems are
-    /// dispatched through **one** pattern-grouped batched solve on the
-    /// shared [`BatchPlan`]; lane solutions scatter back and each wave
-    /// advances one Gauss–Newton step. Areas whose gain patterns coincide
-    /// share a symbolic analysis and a lane-interleaved factorization;
-    /// odd-pattern areas fall back to the scalar path *inside* the plan,
-    /// so every area's result is bitwise identical to solving alone (the
-    /// per-lane FP op sequence is the scalar sequence — see the
-    /// conformance pins in `pgse-sparsela::batch`). Phase C finishes the
-    /// converged waves (residuals, objective, warm-start handoff).
-    #[allow(clippy::too_many_arguments)]
-    fn round_batched_step1(
-        &self,
-        ests: &[AreaEstimator],
-        fresh: &[bool],
-        last_sets: &[Option<MeasurementSet>],
-        panic_now: &[bool],
-        s1_caches: &mut [SolveCache],
-        plan: &mut BatchPlan,
-        report: &mut StreamReport,
-    ) -> Vec<StageOutcome> {
-        enum WaveSlot<'w> {
-            Skipped,
-            Failed,
-            Panicked,
-            Wave(GnWave<'w>),
-        }
-
-        // Phase A — open the waves in parallel.
-        let mut waves: Vec<WaveSlot> = ests
-            .par_iter()
-            .enumerate()
-            .zip(s1_caches.par_iter_mut())
-            .map(|((a, est), cache)| {
-                if !fresh[a] {
-                    return WaveSlot::Skipped;
-                }
-                let Some(set) = last_sets[a].as_ref() else {
-                    return WaveSlot::Skipped;
-                };
-                let rec = &self.area_recs[a];
-                let inject = panic_now[a];
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                    if inject {
-                        std::panic::panic_any(INJECTED_PANIC);
-                    }
-                    pgse_obs::with_recorder(rec, move || est.step1_wave(set, cache))
-                }));
-                match out {
-                    Ok(Ok(wave)) => WaveSlot::Wave(wave),
-                    Ok(Err(_)) => WaveSlot::Failed,
-                    Err(_) => WaveSlot::Panicked,
-                }
-            })
-            .collect();
-
-        // Phase B — the round driver: one cross-area solve per GN wave.
-        loop {
-            let mut active: Vec<usize> = Vec::new();
-            let mut systems: Vec<(&Csr, &[f64])> = Vec::new();
-            for (a, slot) in waves.iter().enumerate() {
-                if let WaveSlot::Wave(w) = slot {
-                    if !w.done() {
-                        active.push(a);
-                        systems.push((w.gain(), w.rhs()));
-                    }
-                }
-            }
-            if active.is_empty() {
-                break;
-            }
-            let out = plan.solve_round(&systems);
-            report.gain_solves += active.len() as u64;
-            report.batch_groups += out.batch_groups;
-            report.batched_lanes += out.batched_lanes;
-            report.scalar_fallbacks += out.scalar_fallbacks;
-            for (k, &a) in active.iter().enumerate() {
-                let advanced = {
-                    let WaveSlot::Wave(wave) = &mut waves[a] else { unreachable!() };
-                    let rec = &self.area_recs[a];
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pgse_obs::with_recorder(rec, || match &out.results[k] {
-                            Ok(dx) => {
-                                wave.note_solved(out.sym_reused[k]);
-                                wave.apply_step(dx);
-                                true
-                            }
-                            Err(_) => false,
-                        })
-                    }))
-                };
-                match advanced {
-                    Ok(true) => {}
-                    Ok(false) => waves[a] = WaveSlot::Failed,
-                    Err(_) => waves[a] = WaveSlot::Panicked,
-                }
-            }
-        }
-
-        // Phase C — close out the waves.
-        waves
-            .into_iter()
-            .enumerate()
-            .map(|(a, slot)| match slot {
-                WaveSlot::Skipped => StageOutcome::Skipped,
-                WaveSlot::Failed => StageOutcome::Failed,
-                WaveSlot::Panicked => StageOutcome::Panicked,
-                WaveSlot::Wave(wave) => {
-                    let rec = &self.area_recs[a];
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pgse_obs::with_recorder(rec, || wave.finish())
-                    }));
-                    match out {
-                        Ok(Ok(est)) => StageOutcome::Solved(AreaSolution {
-                            vm: est.vm,
-                            va: est.va,
-                            iterations: est.iterations,
-                            objective: est.objective,
-                        }),
-                        Ok(Err(_)) => StageOutcome::Failed,
-                        Err(_) => StageOutcome::Panicked,
-                    }
-                }
-            })
-            .collect()
     }
 }
 
@@ -2271,15 +2130,12 @@ mod tests {
             "{report:?}"
         );
 
-        // Round batching engaged on every Step-1 gain solve, and the
-        // dispatch accounting closes exactly: every dispatched system was
-        // either batched or fell back to the scalar path, nothing else.
+        // Every Step-1 Gauss–Newton iteration is one scalar gain solve on
+        // the area's own cached factor; nothing is batched across areas.
         assert!(report.gain_solves > 0, "{report:?}");
-        assert_eq!(
-            report.batched_lanes + report.scalar_fallbacks,
-            report.gain_solves,
-            "{report:?}"
-        );
+        assert!(report.gain_solves < report.gn_iterations, "{report:?}");
+        assert_eq!(report.batched_lanes, 0, "{report:?}");
+        assert_eq!(report.scalar_fallbacks, report.gain_solves, "{report:?}");
         // Step 2 solves on the cached sparse Cholesky, like Step 1; no
         // solve is condensed.
         assert_eq!(report.condensed_solves, 0, "{report:?}");
@@ -2363,12 +2219,12 @@ mod tests {
         // per-cache refactorization counters.
         assert_eq!(report.refactor_reuse, 0);
         assert_eq!(report.refactor_full, 0);
-        // Cold solves run inside the estimators: the round-level batch
-        // plan never sees a system.
-        assert_eq!(report.gain_solves, 0);
+        // Cold Step-1 solves are still counted, one per Gauss–Newton
+        // iteration, and all of them are scalar.
+        assert!(report.gain_solves > 0, "{report:?}");
+        assert!(report.gain_solves < report.gn_iterations, "{report:?}");
         assert_eq!(report.batched_lanes, 0);
-        assert_eq!(report.batch_groups, 0);
-        assert_eq!(report.scalar_fallbacks, 0);
+        assert_eq!(report.scalar_fallbacks, report.gain_solves);
         assert_eq!(report.condensed_solves, 0);
         assert_eq!(report.unaccounted(), 0);
     }

@@ -17,16 +17,22 @@
 //!   affected area** (pinned per area via `area_symbolic_builds`), the
 //!   same-seed deterministic ObsReport stays byte-identical across the
 //!   transition at 1/2/8 threads, and an islanding switch merges the
-//!   orphaned buses into a surviving area within bounded rounds.
+//!   orphaned buses into a surviving area within bounded rounds;
+//! * **the estimate stays accurate through the faults**: every epoch a
+//!   concurrent reader samples during the gross-error and RTU-outage
+//!   runs, and the final snapshot of those runs and of the branch-switch
+//!   run, lies within the clean RMSE band of the power-flow truth.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 
 use pgse::contingency::islanding_outages;
 use pgse::dse::decomposition::{decompose, DecompositionOptions};
 use pgse::grid::cases::ieee118_like;
 use pgse::grid::{Branch, Bus, BusKind, Network};
 use pgse::medici::{ScanFault, ScanFaultPlan};
+use pgse::powerflow::{solve, PfOptions, PfSolution};
 use pgse::stream::{BadDataGate, StreamConfig, StreamReport, StreamService, SwitchingEvent};
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
@@ -41,6 +47,64 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
+}
+
+/// Per-epoch RMSE ceilings against the power-flow truth: the clean band of
+/// `tests/streaming.rs` and the benchmark's.
+const VM_RMSE_MAX: f64 = 5e-3;
+const VA_RMSE_MAX: f64 = 2.5e-2;
+
+fn rmse(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len());
+    (a.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>() / a.len() as f64).sqrt()
+}
+
+/// Panics unless `(vm, va)` lies within the clean band of `truth`.
+fn assert_in_band(vm: &[f64], va: &[f64], truth: &PfSolution, what: &str) {
+    let (e_vm, e_va) = (rmse(vm, &truth.vm), rmse(va, &truth.va));
+    assert!(
+        e_vm <= VM_RMSE_MAX && e_va <= VA_RMSE_MAX,
+        "{what}: vm rmse {e_vm:.3e}, va rmse {e_va:.3e}"
+    );
+}
+
+/// Runs `service` while a reader thread checks every epoch it samples
+/// against `truth`, then checks the final snapshot. The service starts
+/// only once the reader is live (barrier handshake, no sleep), so the
+/// reader sees the stream however the threads are scheduled.
+fn run_with_accuracy_reader(service: &StreamService, truth: &PfSolution) -> StreamReport {
+    let started = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let (report, sampled) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            started.wait();
+            let mut sampled = 0u64;
+            let mut last = None;
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                if let Some(snap) = service.store().load() {
+                    if last != Some(snap.epoch) {
+                        last = Some(snap.epoch);
+                        assert_in_band(&snap.vm, &snap.va, truth, &format!("epoch {}", snap.epoch));
+                        sampled += 1;
+                    }
+                }
+                if finished {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            sampled
+        });
+        started.wait();
+        let report = service.run();
+        done.store(true, Ordering::Release);
+        (report, reader.join().unwrap())
+    });
+    assert!(sampled > 0, "reader never sampled an epoch");
+    let snap = service.store().load().expect("the run published");
+    assert_in_band(&snap.vm, &snap.va, truth, "final epoch");
+    report
 }
 
 /// The robust counters that must be invariant across worker-pool sizes.
@@ -67,6 +131,7 @@ fn robust_fingerprint(r: &StreamReport) -> Vec<u64> {
 fn gross_errors_identified_exactly_at_every_pool_size() {
     let _serial = serial();
     let net = ieee118_like();
+    let truth = solve(&net, &PfOptions::default()).unwrap();
     // Probe deployment: how many areas does the decomposition produce?
     let n_areas =
         StreamService::deploy(&net, StreamConfig::default()).unwrap().n_areas();
@@ -98,7 +163,7 @@ fn gross_errors_identified_exactly_at_every_pool_size() {
             let service = StreamService::deploy(&net, cfg.clone()).unwrap();
             let lens: Vec<usize> =
                 (0..service.n_areas()).map(|a| service.area_scan_len(a)).collect();
-            (service.run(), lens)
+            (run_with_accuracy_reader(&service, &truth), lens)
         });
 
         // Every frame fed and accounted; suspect accounting closes exactly.
@@ -145,6 +210,7 @@ fn gross_errors_identified_exactly_at_every_pool_size() {
 fn rtu_outages_restore_and_the_identity_closes_from_obs_counters() {
     let _serial = serial();
     let net = ieee118_like();
+    let truth = solve(&net, &PfOptions::default()).unwrap();
     let n_areas =
         StreamService::deploy(&net, StreamConfig::default()).unwrap().n_areas();
 
@@ -169,7 +235,7 @@ fn rtu_outages_restore_and_the_identity_closes_from_obs_counters() {
     for threads in POOL_SIZES {
         let (report, obs) = with_pool(threads, || {
             let service = StreamService::deploy(&net, cfg.clone()).unwrap();
-            let report = service.run();
+            let report = run_with_accuracy_reader(&service, &truth);
             (report, service.obs_report())
         });
 
@@ -266,6 +332,10 @@ fn branch_switch_rebuilds_symbolic_structure_only_for_the_affected_area() {
     let _serial = serial();
     let net = ieee118_like();
     let branch = internal_cycle_branch(&net);
+    // The truth after the switch: the base network with the branch open.
+    let mut closed = vec![true; net.branches.len()];
+    closed[branch] = false;
+    let post_truth = solve(&net.with_branch_status(&closed), &PfOptions::default()).unwrap();
     let cfg = StreamConfig {
         n_frames: 12,
         seed: 21,
@@ -283,6 +353,10 @@ fn branch_switch_rebuilds_symbolic_structure_only_for_the_affected_area() {
             let affected = service.stage_affected_areas(1).to_vec();
             let islanding = service.stage_islanding_events(1);
             let report = service.run();
+            // The last epoch estimates the post-switch grid within the
+            // clean band of its own power-flow truth.
+            let snap = service.store().load().expect("the run published");
+            assert_in_band(&snap.vm, &snap.va, &post_truth, "final post-switch epoch");
             (report, affected, islanding, service.obs_report().to_json_deterministic())
         });
 

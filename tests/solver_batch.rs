@@ -1,21 +1,18 @@
-//! Solver conformance + regression suite for the batched multi-area gain
+//! Solver conformance + regression suite for the per-area direct gain
 //! solve and numeric refactorization reuse.
 //!
 //! The acceptance criteria of this subsystem, pinned as tests:
 //!
-//! * **Batched == sequential, bitwise.** Stacking identical-pattern
-//!   per-area gain systems into lanes and solving them together produces
-//!   bit-for-bit the same solutions as factoring each system alone — on
-//!   thread pools of 1, 2, and 8 workers.
 //! * **Refactorization reuse == from-scratch, bitwise.** Refreshing a
 //!   cached numeric factorization across warm frames (pattern unchanged,
-//!   values moved) equals a clean factorization of every frame, again
-//!   across 1|2|8-thread pools.
-//! * **The warm round got faster.** One warm round — every area's gain
+//!   values moved) equals a clean factorization of every frame, across
+//!   1|2|8-thread pools.
+//! * **The cached factor pays.** One warm round — every area's gain
 //!   system of several in-flight frames solved — must run ≥1.5× faster
-//!   through the batched direct path than through the pre-batch path
-//!   (per-lane IC(0) build + PCG). Amortization, not parallelism: the
-//!   floor holds on any core count.
+//!   by refreshing each area's cached factor (`SparseCholesky::refactor`
+//!   over its kept symbolic analysis) than by building an IC(0)
+//!   preconditioner and running PCG per system. Amortization, not
+//!   parallelism: the floor holds on any core count.
 //! * **No stale factors.** A topology change that keeps the measurement
 //!   set's shape invalidates the cached pattern and numeric factor; the
 //!   `refactor_reuse`/`refactor_full` counters account for every
@@ -33,7 +30,7 @@ use pgse::estimation::wls::{SolveCache, WlsEstimator, WlsOptions};
 use pgse::grid::cases::ieee118_like;
 use pgse::powerflow::{solve, PfOptions};
 use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse::sparsela::{solve_systems, BatchCholesky, BatchPlan, CholSymbolic, Csr, SparseCholesky};
+use pgse::sparsela::{CholSymbolic, Csr, SparseCholesky};
 use pgse::stream::{StreamConfig, StreamService};
 use pgse_bench::timing::{paired_best_until, time_ns};
 
@@ -74,47 +71,6 @@ fn pools() -> Vec<rayon::ThreadPool> {
 }
 
 #[test]
-fn batched_solve_is_bitwise_identical_to_scalar_across_pools() {
-    let _serial = serial();
-    let areas = area_frame_systems(3);
-
-    // Scalar reference: every system factored and solved on its own.
-    let reference: Vec<Vec<Vec<f64>>> = areas
-        .iter()
-        .map(|frames| {
-            frames
-                .iter()
-                .map(|(g, b)| SparseCholesky::factor(g).unwrap().solve(b))
-                .collect()
-        })
-        .collect();
-
-    // One flat list mixing all areas' frames exercises pattern grouping:
-    // solve_systems must regroup each area's frames into one batch.
-    let flat: Vec<(&Csr, &[f64])> = areas
-        .iter()
-        .flat_map(|frames| frames.iter().map(|(g, b)| (g, b.as_slice())))
-        .collect();
-    let flat_ref: Vec<&Vec<f64>> = reference.iter().flatten().collect();
-
-    for pool in pools() {
-        let sols = pool.install(|| solve_systems(&flat).unwrap());
-        assert_eq!(sols.len(), flat_ref.len());
-        for (i, (got, want)) in sols.iter().zip(&flat_ref).enumerate() {
-            assert_eq!(got.len(), want.len());
-            for (a, b) in got.iter().zip(want.iter()) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "system {i} diverged on a {}-thread pool",
-                    pool.current_num_threads()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn refactor_reuse_is_bitwise_identical_to_from_scratch_across_pools() {
     let _serial = serial();
     let areas = area_frame_systems(5);
@@ -124,20 +80,15 @@ fn refactor_reuse_is_bitwise_identical_to_from_scratch_across_pools() {
             for frames in &areas {
                 // Warm path: factor frame 0 once, refresh the numeric
                 // factor for every later frame.
-                let lane_refs: Vec<&Csr> = vec![&frames[0].0];
-                let mut batch = BatchCholesky::factor(&lane_refs).unwrap();
-                let mut scalar = SparseCholesky::factor(&frames[0].0).unwrap();
+                let mut warm = SparseCholesky::factor(&frames[0].0).unwrap();
                 for (g, b) in &frames[1..] {
-                    batch.refactor(&[g]).unwrap();
-                    scalar.refactor(g).unwrap();
+                    warm.refactor(g).unwrap();
                     // From-scratch path on the same frame.
                     let fresh = SparseCholesky::factor(g).unwrap();
                     let sym = Arc::new(CholSymbolic::analyze(g));
                     let shared = SparseCholesky::factor_with_symbolic(sym, g).unwrap();
                     let want = fresh.solve(b);
-                    for got in
-                        [batch.solve_lane(0, b), scalar.solve(b), shared.solve(b)]
-                    {
+                    for got in [warm.solve(b), shared.solve(b)] {
                         for (x, y) in got.iter().zip(&want) {
                             assert_eq!(
                                 x.to_bits(),
@@ -154,38 +105,33 @@ fn refactor_reuse_is_bitwise_identical_to_from_scratch_across_pools() {
 }
 
 #[test]
-fn warm_round_batched_solve_beats_prebatch_path() {
+fn warm_round_cached_refactor_beats_per_system_ic0_pcg() {
     let _serial = serial();
     // One warm round: 4 in-flight frames of every area's gain system.
     let areas = area_frame_systems(4);
 
-    // The batched path carries its symbolic analysis and factor memory
-    // across frames (the stream cache does the same), so build the
-    // per-area batches once, outside the timed region.
-    let mut batches: Vec<BatchCholesky> = areas
-        .iter()
-        .map(|frames| {
-            let refs: Vec<&Csr> = frames.iter().map(|(g, _)| g).collect();
-            BatchCholesky::factor(&refs).unwrap()
-        })
-        .collect();
+    // The stream cache keeps each area's factor — and with it the
+    // minimum-degree symbolic analysis — across frames, so build one
+    // factor per area outside the timed region, as the cache would have.
+    let mut factors: Vec<SparseCholesky> =
+        areas.iter().map(|frames| SparseCholesky::factor(&frames[0].0).unwrap()).collect();
 
     let cg = CgOptions { rel_tol: 1e-8, max_iter: 10_000, parallel: false };
-    let (batch_ns, prebatch_ns) = paired_best_until(
+    let (cached_ns, pcg_ns) = paired_best_until(
         6,
         || {
             time_ns(|| {
-                for (frames, batch) in areas.iter().zip(&mut batches) {
-                    let refs: Vec<&Csr> = frames.iter().map(|(g, _)| g).collect();
-                    batch.refactor(&refs).unwrap();
-                    let rhs: Vec<&[f64]> = frames.iter().map(|(_, b)| b.as_slice()).collect();
-                    std::hint::black_box(batch.solve_all(&rhs));
+                for (frames, chol) in areas.iter().zip(&mut factors) {
+                    for (g, b) in frames {
+                        chol.refactor(g).unwrap();
+                        std::hint::black_box(chol.solve(b));
+                    }
                 }
             })
         },
         || {
             time_ns(|| {
-                // Pre-batch warm round: every system rebuilds its IC(0)
+                // Iterative warm round: every system rebuilds its IC(0)
                 // preconditioner and runs PCG on its own.
                 for frames in &areas {
                     for (g, b) in frames {
@@ -198,18 +144,18 @@ fn warm_round_batched_solve_beats_prebatch_path() {
         |fast, slow| fast.saturating_mul(3) < slow.saturating_mul(2),
     );
 
-    let speedup = prebatch_ns as f64 / batch_ns as f64;
+    let speedup = pcg_ns as f64 / cached_ns as f64;
     // The floor is a property of the optimized kernels; CI asserts it via
     // `cargo test --release --test solver_batch`. A debug build still
-    // runs the comparison (both paths must work) but the unoptimized
-    // lane loops make its ratio meaningless, so it is reported only.
+    // runs the comparison (both paths must work) but reports the ratio
+    // only.
     if cfg!(debug_assertions) {
         eprintln!("warm round speedup {speedup:.2}x (floor not asserted in debug builds)");
         return;
     }
     assert!(
         speedup >= 1.5,
-        "warm round: batched {batch_ns} ns vs pre-batch {prebatch_ns} ns — \
+        "warm round: cached refactor {cached_ns} ns vs IC(0)+PCG {pcg_ns} ns — \
          {speedup:.2}x is below the 1.5x floor"
     );
 }
@@ -287,61 +233,6 @@ fn topology_change_mid_stream_forces_clean_refactor() {
     assert_eq!(cache.symbolic_builds, 2, "stale pattern silently reused");
     assert_eq!(cache.refactor_full, 2, "stale numeric factor silently reused");
     assert!(cache.refactor_reuse > reuse_before);
-}
-
-#[test]
-fn round_batch_plan_is_bitwise_identical_to_scalar_across_pools() {
-    let _serial = serial();
-    // Streaming-round shape: each round dispatches one gain system per
-    // area through the shared plan — distinct patterns across areas,
-    // repeating patterns across rounds (frames).
-    let areas = area_frame_systems(3);
-    let n_frames = 3;
-
-    // Scalar reference, frame-major like the rounds below.
-    let reference: Vec<Vec<Vec<f64>>> = (0..n_frames)
-        .map(|f| {
-            areas
-                .iter()
-                .map(|frames| {
-                    let (g, b) = &frames[f];
-                    SparseCholesky::factor(g).unwrap().solve(b)
-                })
-                .collect()
-        })
-        .collect();
-
-    for pool in pools() {
-        pool.install(|| {
-            let mut plan = BatchPlan::new();
-            for (f, frame_ref) in reference.iter().enumerate() {
-                let systems: Vec<(&Csr, &[f64])> =
-                    areas.iter().map(|frames| (&frames[f].0, frames[f].1.as_slice())).collect();
-                let out = plan.solve_round(&systems);
-                // Dispatch accounting closes exactly per round.
-                assert_eq!(
-                    out.batched_lanes + out.scalar_fallbacks,
-                    systems.len() as u64,
-                    "round {f}"
-                );
-                // Rounds after the first reuse every symbolic analysis.
-                assert_eq!(out.sym_reused.iter().all(|&r| r), f > 0, "round {f}");
-                for (a, (got, want)) in out.results.iter().zip(frame_ref).enumerate() {
-                    let got = got.as_ref().unwrap();
-                    for (x, y) in got.iter().zip(want) {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "area {a} round {f} diverged on a {}-thread pool",
-                            pool.current_num_threads()
-                        );
-                    }
-                }
-            }
-            // One analysis per distinct area pattern, never more.
-            assert!(plan.cached_symbolics() <= areas.len());
-        });
-    }
 }
 
 /// Runs three frames of Step 1 → pseudo exchange → cached Step 2 on every
